@@ -10,7 +10,7 @@ LINT_PATHS = src/repro/sim src/repro/network src/repro/perf
 # mypy-checked too.
 MYPY_PATHS = src/repro/sim src/repro/network src/repro/core src/repro/harness src/repro/perf
 
-.PHONY: test lint bench bench-quick bench-gate baseline serve-smoke selfheal-smoke store-migrate-smoke
+.PHONY: test lint bench bench-quick bench-gate bench-check baseline serve-smoke selfheal-smoke store-migrate-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -45,6 +45,19 @@ bench-quick:
 
 bench-gate:
 	$(PYTHON) -m repro.cli bench --quick --baseline benchmarks/baseline_ci.json --max-regress 25
+
+# The CI bench-check job: run each workload of the repository benchmark
+# (perfbench/, BENCHMARK.json) for 10 s with tracing on, echo its
+# output, and fail unless its final JSON line reads "correct": true.
+BENCH_WORKLOADS = cold_sweep warm_replay serve_mixed
+BENCH_CORRECT = import json, sys; lines = sys.stdin.read().splitlines(); print(*lines, sep="\n"); sys.exit(not lines or json.loads(lines[-1]).get("correct") is not True)
+
+bench-check:
+	@for w in $(BENCH_WORKLOADS); do \
+	  $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 10 --trace 1 \
+	    | $(PYTHON) -c '$(BENCH_CORRECT)' \
+	    || { echo "bench-check: $$w did not read \"correct\": true" >&2; exit 1; }; \
+	done
 
 # Refresh the committed CI baseline (run on an otherwise idle machine;
 # see docs/benchmarking.md for when this is legitimate).

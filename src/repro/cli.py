@@ -441,9 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds an open breaker waits before admitting a "
              "half-open probe (default: 30)")
     serve_p.add_argument(
-        "--heartbeat-s", type=float, default=1.0, metavar="SECS",
-        help="supervisor heartbeat interval for dispatcher/executor "
-             "health checks; 0 disables supervision (default: 1)")
+        "--heartbeat-s", type=float, default=None, metavar="SECS",
+        help="deprecated and ignored: accepted so existing launch lines "
+             "still parse, but the value reaches no code")
     serve_p.add_argument(
         "--verbose", action="store_true",
         help="log one line per HTTP request to stderr")
@@ -764,7 +764,6 @@ def _cmd_serve(args) -> int:
             degrade=args.degrade,
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown_s=args.breaker_cooldown,
-            heartbeat_s=args.heartbeat_s,
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")

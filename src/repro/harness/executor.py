@@ -102,15 +102,11 @@ OnResult = Callable[[int, ExperimentConfig, ExperimentOutcome], None]
 #: Watchdog poll interval while timeouts are armed (seconds).
 _WATCHDOG_TICK_S = 0.05
 
-#: Poll interval for isolated-child result pipes while a heartbeat hook
-#: is attached (seconds) -- coarse, because each wake only exists to
-#: prove the watcher itself is alive.
-_HEARTBEAT_TICK_S = 0.5
-
-#: Heartbeat hook signature: receives a short event tag (``"tick"``,
-#: ``"task_start"``, ``"task_done"``, ``"worker_restart"``,
-#: ``"pool_rebuild"``).  Hooks are called from executor internals and
-#: must be cheap; exceptions they raise are swallowed.
+#: Executor event hook signature: receives ``"worker_restart"`` (a
+#: dead or hung isolated child is being replaced) or ``"pool_rebuild"``
+#: (a broken or poisoned worker pool is being rebuilt).  Hooks are
+#: called from executor internals and must be cheap; exceptions they
+#: raise are swallowed.
 HeartbeatHook = Callable[[str], None]
 
 
@@ -133,13 +129,13 @@ class Executor:
     #: Worker count, for display purposes.
     jobs: int = 1
 
-    #: Optional liveness hook (see :data:`HeartbeatHook`); the serve
-    #: layer's supervisor installs one via :func:`with_heartbeat` so a
-    #: wedged executor is distinguishable from a long simulation.
+    #: Optional event hook (see :data:`HeartbeatHook`); the experiment
+    #: service installs one via :func:`with_heartbeat` to count worker
+    #: restarts and pool rebuilds.
     heartbeat: Optional[HeartbeatHook] = None
 
     def _beat(self, event: str) -> None:
-        """Invoke the heartbeat hook, swallowing its failures."""
+        """Invoke the event hook, swallowing its failures."""
         hook = getattr(self, "heartbeat", None)
         if hook is None:
             return
@@ -197,10 +193,7 @@ def _isolated_child(conn, config: ExperimentConfig) -> None:
 
 
 def _run_isolated(
-    config: ExperimentConfig,
-    timeout_s: Optional[float],
-    attempts: int,
-    beat: Optional[HeartbeatHook] = None,
+    config: ExperimentConfig, timeout_s: Optional[float], attempts: int
 ) -> ExperimentOutcome:
     """Run one experiment in a watched child process.
 
@@ -208,9 +201,6 @@ def _run_isolated(
     on the result pipe with the timeout as its watchdog: a child that
     hangs past the budget -- or dies without reporting -- is killed and
     recorded as a structured failure instead of wedging the caller.
-    The wait polls in short ticks (rather than one long ``poll``) so a
-    ``beat`` hook, when given, proves the watcher alive while a long
-    simulation runs.
     """
     import multiprocessing as mp
 
@@ -222,28 +212,14 @@ def _run_isolated(
     send.close()
     payload = None
     timed_out = False
-    deadline = None if timeout_s is None else start + timeout_s
     try:
-        while True:
-            tick = _HEARTBEAT_TICK_S
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    # Waits exhausted without the pipe turning readable:
-                    # the *only* timeout signal (a dying child closes
-                    # the pipe, which makes poll() return True and
-                    # recv() raise EOFError -- the crash path below).
-                    timed_out = True
-                    break
-                tick = min(tick, remaining)
-            if recv.poll(tick):
-                payload = recv.recv()
-                break
-            if beat is not None:
-                try:
-                    beat("tick")
-                except Exception:  # noqa: BLE001 - liveness only
-                    pass
+        if recv.poll(timeout_s):
+            payload = recv.recv()
+        else:
+            # poll() returning False is the *only* timeout signal; a
+            # dying child closes the pipe, which makes poll() return
+            # True and recv() raise EOFError (the crash path below).
+            timed_out = True
     except (EOFError, OSError):
         payload = None
     wall = time.perf_counter() - start
@@ -325,25 +301,18 @@ class SerialExecutor(Executor):
         attempts = 0
         while True:
             attempts += 1
-            self._beat("task_start")
             if isolated:
-                outcome = _run_isolated(
-                    config, self.timeout_s, attempts, beat=self.heartbeat
-                )
+                outcome = _run_isolated(config, self.timeout_s, attempts)
             else:
                 start = time.perf_counter()
                 try:
-                    result = run_experiment(config)
+                    return run_experiment(config)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:
-                    self._beat("task_done")
                     return _failed_from_exception(
                         config, exc, attempts, time.perf_counter() - start
                     )
-                self._beat("task_done")
-                return result
-            self._beat("task_done")
             retryable = (
                 isinstance(outcome, FailedResult)
                 and outcome.error_type in ("crash", "timeout")
@@ -443,10 +412,7 @@ class ParallelExecutor(Executor):
                 attempts[index] += 1
                 emit(
                     index,
-                    _run_isolated(
-                        configs[index], self.timeout_s, attempts[index],
-                        beat=self.heartbeat,
-                    ),
+                    _run_isolated(configs[index], self.timeout_s, attempts[index]),
                 )
             if next_pending:
                 time.sleep(min(self.backoff_s * rebuilds, 5.0))
@@ -506,15 +472,11 @@ class ParallelExecutor(Executor):
             queued.reverse()  # pop() from the tail = FIFO
             unfinished = set(index_of)
             lost_workers = 0
-            # The bounded wait exists for the timeout watchdog and for
-            # heartbeating; with neither armed, block until completion.
-            armed = self.timeout_s is not None or self.heartbeat is not None
             while unfinished:
-                tick = _WATCHDOG_TICK_S if armed else None
+                tick = _WATCHDOG_TICK_S if self.timeout_s is not None else None
                 done, _ = wait(unfinished, timeout=tick,
                                return_when=FIRST_COMPLETED)
                 now = time.monotonic()
-                self._beat("tick")
                 for fut in done:
                     unfinished.discard(fut)
                     index = index_of[fut]
@@ -549,7 +511,6 @@ class ParallelExecutor(Executor):
                         attempts[index] += 1
                     resolved.add(index)
                     emit(index, outcome)
-                    self._beat("task_done")
                     if freed_slot and queued and not broke:
                         started_at[queued.pop()] = now
                 if broke:
@@ -643,14 +604,14 @@ def make_executor(
 
 
 def with_heartbeat(executor: Executor, hook: Optional[HeartbeatHook]) -> Executor:
-    """Attach a heartbeat hook to an executor, preserving its behavior.
+    """Attach an event hook to an executor, preserving its behavior.
 
     The stock executors are frozen dataclasses, so attaching returns a
     ``dataclasses.replace`` copy (identical in every compared field --
     cache keys and equality are unaffected because ``heartbeat`` is
     excluded from comparison).  Third-party executors get the hook set
     as a plain attribute when possible; an executor that cannot accept
-    one is returned unchanged -- heartbeating is strictly optional.
+    one is returned unchanged -- the hook is strictly optional.
     """
     if hook is None:
         return executor

@@ -22,18 +22,19 @@ is versioned under ``/v1/`` (unversioned paths still answer, marked
 ``Deprecation``), and :class:`~repro.serve.client.ServeClient` is the
 supported Python caller.
 
-The self-healing layer sits on top: a
-:class:`~repro.serve.supervisor.Supervisor` heartbeat-checks the
-dispatcher and executor and restarts them with capped, deterministic
-backoff; per-config-family circuit breakers
+One dispatcher thread and one lock (the service condition) carry
+every request.  Failures are contained without restarting anything:
+the executor rebuilds a broken worker pool and its ``--timeout``
+watchdog reclaims hung simulations; per-config-family circuit breakers
 (:class:`~repro.serve.breaker.BreakerBoard`) short-circuit families
-that keep failing; and graceful degradation
-(:mod:`repro.serve.degrade`) answers saturation and open breakers with
-the closed-form analytical power model -- a 200 marked
-``"approximate": true`` -- instead of an error.
+that keep failing; graceful degradation (:mod:`repro.serve.degrade`)
+answers saturation and open breakers with the closed-form analytical
+power model -- a 200 marked ``"approximate": true`` -- instead of an
+error; and ``/v1/healthz`` reports a health state worked out from what
+the service already tracks.
 
 See docs/serving.md for the API schema and worked examples, and
-docs/resilience.md for supervision semantics.
+docs/resilience.md for how failures are contained.
 """
 
 from repro.serve.client import (
@@ -75,9 +76,9 @@ from repro.serve.service import (
     LATENCY_EDGES_MS,
     QueueFullError,
     RequestTicket,
+    SERVICE_STATES,
     ServiceSettings,
 )
-from repro.serve.supervisor import SERVICE_STATES, Supervisor, backoff_delay
 
 __all__ = [
     "API_PREFIX",
@@ -107,8 +108,6 @@ __all__ = [
     "ServeSimulationError",
     "ServeTimeoutError",
     "ServiceSettings",
-    "Supervisor",
-    "backoff_delay",
     "config_family",
     "degraded_json",
     "degraded_payload",

@@ -32,7 +32,6 @@ points keep serving at full speed while fresh simulation is gated.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -99,9 +98,8 @@ class BreakerDecision:
 class CircuitBreaker:
     """One family's closed → open → half-open state machine.
 
-    Not thread-safe on its own; :class:`BreakerBoard` serializes all
-    access under its lock. ``clock`` is injectable (monotonic seconds)
-    so tests can step time without sleeping.
+    ``clock`` is injectable (monotonic seconds) so tests can step time
+    without sleeping.
     """
 
     def __init__(
@@ -184,8 +182,8 @@ class CircuitBreaker:
     def abandon_probe(self) -> None:
         """Release the half-open probe slot without an outcome.
 
-        Used when the probe's request dies before simulating (drain,
-        dispatcher restart) so the family is not wedged forever.
+        Used when the probe's request is rejected before simulating
+        (a full queue) so the family is not wedged forever.
         """
         self.probe_in_flight = False
 
@@ -207,7 +205,7 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """Thread-safe collection of per-family breakers plus metrics.
+    """Collection of per-family breakers plus metrics.
 
     The board lazily creates one :class:`CircuitBreaker` per family on
     first sight and keeps the ``serve.breaker.*`` instruments current:
@@ -217,6 +215,8 @@ class BreakerBoard:
     :class:`~repro.obs.metrics.StateGauge` per family.
 
     A ``threshold`` of 0 disables the board: every decision allows.
+    The board has no lock of its own: the experiment service calls it
+    with its condition held.
     """
 
     def __init__(
@@ -232,7 +232,6 @@ class BreakerBoard:
         self.cooldown_s = cooldown_s
         self.registry = registry
         self.clock = clock
-        self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
 
     @property
@@ -267,59 +266,50 @@ class BreakerBoard:
         """Gate one fresh-simulation request for ``family``."""
         if not self.enabled:
             return BreakerDecision(allowed=True)
-        with self._lock:
-            breaker = self._get(family)
-            decision = breaker.admit()
-            if self.registry is not None:
-                if decision.probe:
-                    self.registry.counter("serve.breaker.probes").inc()
-                if not decision.allowed:
-                    self.registry.counter("serve.breaker.short_circuits").inc()
-                self._publish(breaker)
-            return decision
+        breaker = self._get(family)
+        decision = breaker.admit()
+        if self.registry is not None:
+            if decision.probe:
+                self.registry.counter("serve.breaker.probes").inc()
+            if not decision.allowed:
+                self.registry.counter("serve.breaker.short_circuits").inc()
+            self._publish(breaker)
+        return decision
 
     def on_result(self, family: str, failed: bool, probe: bool = False) -> None:
         """Report a simulation outcome for ``family`` to its breaker."""
         if not self.enabled:
             return
-        with self._lock:
-            breaker = self._get(family)
-            before = breaker.state
-            breaker.on_result(failed, probe=probe)
-            if self.registry is not None:
-                if breaker.state == "open" and before != "open":
-                    self.registry.counter("serve.breaker.trips").inc()
-                if breaker.state == "closed" and before != "closed":
-                    self.registry.counter("serve.breaker.recoveries").inc()
-                self._publish(breaker)
+        breaker = self._get(family)
+        before = breaker.state
+        breaker.on_result(failed, probe=probe)
+        if self.registry is not None:
+            if breaker.state == "open" and before != "open":
+                self.registry.counter("serve.breaker.trips").inc()
+            if breaker.state == "closed" and before != "closed":
+                self.registry.counter("serve.breaker.recoveries").inc()
+            self._publish(breaker)
 
     def abandon_probe(self, family: str) -> None:
         """Release ``family``'s probe slot without recording an outcome."""
-        if not self.enabled:
-            return
-        with self._lock:
-            b = self._breakers.get(family)
-            if b is not None:
-                b.abandon_probe()
+        b = self._breakers.get(family)
+        if b is not None:
+            b.abandon_probe()
 
     def open_families(self) -> List[str]:
         """Families whose breaker is currently not closed."""
-        with self._lock:
-            now = self.clock()
-            for b in self._breakers.values():
-                b._maybe_half_open(now)
-            return sorted(
-                f for f, b in self._breakers.items() if b.state != "closed"
-            )
+        now = self.clock()
+        for b in self._breakers.values():
+            b._maybe_half_open(now)
+        return sorted(f for f, b in self._breakers.items() if b.state != "closed")
 
     def snapshot(self) -> Dict:
         """JSON-safe view of every breaker, keyed by family."""
-        with self._lock:
-            return {
-                "enabled": self.enabled,
-                "threshold": self.threshold,
-                "cooldown_s": self.cooldown_s,
-                "families": {
-                    f: b.snapshot() for f, b in sorted(self._breakers.items())
-                },
-            }
+        return {
+            "enabled": self.enabled,
+            "threshold": self.threshold,
+            "cooldown_s": self.cooldown_s,
+            "families": {
+                f: b.snapshot() for f, b in sorted(self._breakers.items())
+            },
+        }

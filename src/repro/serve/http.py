@@ -3,8 +3,8 @@
 The API is versioned under ``/v1/`` (see docs/serving.md for the full
 schema):
 
-* ``GET /v1/healthz`` -- the supervisor's health state machine; 200
-  while ``healthy`` or ``degraded``, 503 while ``draining`` or
+* ``GET /v1/healthz`` -- the service's health state; 200 while
+  ``healthy`` or ``degraded``, 503 while ``draining`` or
   ``unhealthy``;
 * ``GET /v1/healthz/live`` -- liveness probe: 200 unless ``unhealthy``;
 * ``GET /v1/healthz/ready`` -- readiness probe: 200 only while the
@@ -54,12 +54,7 @@ from repro.harness.executor import FailedResult
 from repro.harness.io import config_from_dict, result_to_cache_dict
 from repro.harness.report import render_run_summary
 from repro.serve.degrade import degraded_payload
-from repro.serve.service import (
-    AdmissionError,
-    ExperimentService,
-    LATENCY_EDGES_MS,
-    RequestTicket,
-)
+from repro.serve.service import AdmissionError, ExperimentService, RequestTicket
 
 __all__ = ["API_VERSION", "API_PREFIX", "ExperimentServer", "ServeHandler", "run_server"]
 
@@ -225,16 +220,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         elif route == "/stats":
             self._send_json(200, self.service.stats())
         elif route == "/metrics":
-            registry = self.service.registry
-            payload = registry.as_dict()
-            hist = registry.histogram("serve.latency_ms", LATENCY_EDGES_MS)
-            payload["quantiles"] = {
-                "serve.latency_ms": {
-                    "p50": hist.quantile(0.50),
-                    "p95": hist.quantile(0.95),
-                }
-            }
-            self._send_json(200, payload)
+            self._send_json(200, self.service.metrics())
         else:
             self._alias_headers = None
             self._send_json(404, {"error": f"unknown path {self.path!r}"})

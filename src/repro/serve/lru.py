@@ -1,6 +1,6 @@
 """Bounded in-memory result cache with least-recently-used eviction.
 
-The experiment service's first tier: a thread-safe mapping from
+The experiment service's first tier: a mapping from
 :meth:`~repro.harness.experiment.ExperimentConfig.cache_key` to
 :class:`~repro.harness.experiment.ExperimentResult`, bounded to
 ``capacity`` entries.  A ``get`` refreshes recency; a ``put`` past
@@ -13,7 +13,6 @@ store is dropped) without the callers needing a second code path.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Dict, Optional
 
@@ -23,15 +22,14 @@ __all__ = ["LruResultCache"]
 
 
 class LruResultCache:
-    """Thread-safe LRU mapping of cache keys to experiment results.
+    """LRU mapping of cache keys to experiment results.
 
-    ``capacity`` is fixed at construction -- the eviction loop, the
-    ``/stats`` payload, and the admission math all assume it never
-    moves, so mutating it afterwards raises ``AttributeError``.
-    Counters come in two flavors: ``hits`` / ``misses`` / ``evictions``
-    are resettable window stats (:meth:`reset_stats`), while
-    ``inserts`` is monotonic for the cache's lifetime so ``/stats``
-    deltas survive a warm-start that pre-populates the tier.
+    The cache has no lock of its own: the experiment service reads and
+    writes it with its condition held.  ``capacity`` is fixed at
+    construction -- the eviction loop, the ``/stats`` payload, and the
+    admission math all assume it never moves -- so it is a read-only
+    property.  ``inserts`` counts every store over the cache's lifetime,
+    a warm-start pre-population included.
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -39,7 +37,6 @@ class LruResultCache:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self._capacity = capacity
         self._entries: "OrderedDict[str, ExperimentResult]" = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -50,63 +47,40 @@ class LruResultCache:
         """The fixed entry bound chosen at construction."""
         return self._capacity
 
-    @capacity.setter
-    def capacity(self, value: int) -> None:
-        raise AttributeError(
-            "LruResultCache capacity is fixed at construction; "
-            "build a new cache to resize"
-        )
-
     def get(self, key: str) -> Optional[ExperimentResult]:
         """The cached result for ``key`` (refreshing recency), or None."""
-        with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return result
+        result = self._entries.get(key)
+        if result is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return result
 
     def put(self, key: str, result: ExperimentResult) -> None:
         """Store ``result`` under ``key``, evicting LRU entries past capacity."""
         if self._capacity == 0:
             return
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = result
-            self.inserts += 1
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def reset_stats(self) -> None:
-        """Zero the window counters (hits/misses/evictions).
-
-        ``inserts`` is deliberately untouched: it is the monotonic
-        lifetime counter that lets ``/stats`` consumers compute deltas
-        across warm-starts and stat resets.
-        """
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        self._entries[key] = result
+        self.inserts += 1
+        while len(self._entries) > self._capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def __len__(self) -> int:
         """Number of live entries."""
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def stats(self) -> Dict[str, int]:
         """JSON-safe counters: size, capacity, hits, misses, evictions,
-        and the monotonic insert total."""
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self._capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "inserts": self.inserts,
-            }
+        and the lifetime insert total."""
+        return {
+            "size": len(self._entries),
+            "capacity": self._capacity,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "inserts": self.inserts,
+        }

@@ -27,14 +27,21 @@ behaviours a shared simulator needs:
   :class:`~repro.obs.metrics.MetricsRegistry` (``serve.*`` namespace,
   latency histogram included) and :meth:`ExperimentService.stats`
   returns the JSON payload the ``/stats`` endpoint serves;
-* **self-healing** -- a :class:`~repro.serve.supervisor.Supervisor`
-  heartbeat-checks the dispatcher thread and the executor pool and
-  restarts whichever hangs or dies; per-config-family
-  :class:`~repro.serve.breaker.CircuitBreaker`\\ s short-circuit
-  families that keep failing; and with ``degrade="analytical"``, a
-  saturated queue or open breaker answers with the closed-form power
-  model (``"approximate": true``) instead of an error -- see
-  :mod:`repro.serve.degrade`.
+* **failure containment** -- worker crashes and hangs are contained by
+  the executor (pool rebuilds, the ``--timeout`` watchdog);
+  per-config-family :class:`~repro.serve.breaker.CircuitBreaker`\\ s
+  short-circuit families that keep failing; with
+  ``degrade="analytical"``, a saturated queue or open breaker answers
+  with the closed-form power model (``"approximate": true``) instead of
+  an error -- see :mod:`repro.serve.degrade`; and :meth:`health` works
+  the service's state out of what it already tracks.
+
+Concurrency model: one dispatcher thread for the service's lifetime
+and one lock, the service condition.  Every piece of shared state --
+the single-flight map, the queue, the memory tier, the breakers and
+the metrics registry -- is read and written with that condition held;
+only store/journal I/O, the disk probe and executor batches run
+outside it.
 
 Results a simulation produces are written back to both cache tiers (and
 the journal, when attached), so a repeat request is a memory-tier hit
@@ -45,11 +52,12 @@ touches the caches, and degraded tickets never reach it.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.harness.diskcache import DiskCache
 from repro.harness.executor import (
@@ -68,7 +76,6 @@ from repro.serve.degrade import (
     make_degraded_result,
 )
 from repro.serve.lru import LruResultCache
-from repro.serve.supervisor import Supervisor
 
 __all__ = [
     "AdmissionError",
@@ -78,6 +85,7 @@ __all__ = [
     "ServiceSettings",
     "ExperimentService",
     "LATENCY_EDGES_MS",
+    "SERVICE_STATES",
 ]
 
 #: Latency histogram bucket edges (milliseconds).
@@ -85,6 +93,20 @@ LATENCY_EDGES_MS = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
     1000.0, 2500.0, 5000.0, 10000.0, 30000.0, 120000.0,
 )
+
+#: Service health states in severity order (index = StateGauge value).
+SERVICE_STATES = ("healthy", "degraded", "draining", "unhealthy")
+
+#: Seconds a pool rebuild, worker restart or degraded answer keeps the
+#: service ``degraded``.
+DEGRADED_HOLD_S = 30.0
+
+#: The counter each answering tier bumps.
+_TIER_COUNTERS = {
+    "memory": "serve.memory_hits",
+    "disk": "serve.disk_hits",
+    "simulated": "serve.simulated",
+}
 
 
 class AdmissionError(RuntimeError):
@@ -124,16 +146,11 @@ class ServiceSettings:
     configs.  ``request_timeout_s`` is the default budget
     :meth:`ExperimentService.execute` waits for a ticket.
 
-    Self-healing knobs: ``degrade`` selects what a saturated queue or
-    open breaker answers with (``"off"`` = hard 429/503, ``"analytical"``
-    = closed-form model); ``breaker_threshold`` consecutive structured
-    failures trip a config family's breaker for ``breaker_cooldown_s``
-    (0 disables breakers); ``heartbeat_s`` paces the supervisor (0
-    disables supervision), with staleness, restart-budget, and backoff
-    shaping via ``stale_after_s`` (None = 10 heartbeats),
-    ``max_restarts``, ``backoff_base_s`` / ``backoff_cap_s`` /
-    ``backoff_jitter_s``, and ``supervisor_seed`` (deterministic
-    jitter).
+    ``degrade`` selects what a saturated queue or open breaker answers
+    with (``"off"`` = hard 429/503, ``"analytical"`` = closed-form
+    model); ``breaker_threshold`` consecutive structured failures trip a
+    config family's breaker for ``breaker_cooldown_s`` (0 disables
+    breakers).
 
     ``socket_timeout_s`` is the per-connection socket timeout the HTTP
     handler applies; the default (None) resolves to 30 s.  It bounds
@@ -153,14 +170,6 @@ class ServiceSettings:
     degrade: str = "off"
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 30.0
-    heartbeat_s: float = 1.0
-    stale_after_s: Optional[float] = None
-    max_restarts: int = 5
-    backoff_base_s: float = 0.1
-    backoff_cap_s: float = 30.0
-    backoff_jitter_s: float = 0.05
-    supervisor_seed: int = 0
-    degraded_hold_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.degrade not in DEGRADE_MODES:
@@ -174,10 +183,6 @@ class ServiceSettings:
         if self.breaker_cooldown_s <= 0:
             raise ValueError(
                 f"breaker_cooldown_s must be > 0, got {self.breaker_cooldown_s}"
-            )
-        if self.heartbeat_s < 0:
-            raise ValueError(
-                f"heartbeat_s must be >= 0, got {self.heartbeat_s}"
             )
         if self.socket_timeout_s is not None and self.socket_timeout_s <= 0:
             raise ValueError(
@@ -252,7 +257,6 @@ class ExperimentService:
         journal: Optional[SweepJournal] = None,
         registry: Optional[MetricsRegistry] = None,
         breakers=None,
-        supervisor: Optional[Supervisor] = None,
     ) -> None:
         # Imported here, not at module top: breaker.py imports this
         # module for AdmissionError, so the reverse import must be lazy.
@@ -264,9 +268,9 @@ class ExperimentService:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.memory = LruResultCache(self.settings.memory_entries)
         base_executor = executor if executor is not None else SerialExecutor()
-        #: The executor, wrapped so worker activity heartbeats the
-        #: supervisor (a no-op wrapper when supervision is disabled).
-        self.executor = with_heartbeat(base_executor, self._executor_beat)
+        #: The executor, wrapped so pool rebuilds and worker restarts
+        #: are counted and mark the service degraded.
+        self.executor = with_heartbeat(base_executor, self._on_executor_event)
         #: Per-config-family circuit breakers (injectable for tests).
         self.breakers = (
             breakers
@@ -277,22 +281,6 @@ class ExperimentService:
                 registry=self.registry,
             )
         )
-        #: Component watchdog; None when ``heartbeat_s`` is 0.
-        self.supervisor = supervisor
-        if supervisor is None and self.settings.heartbeat_s > 0:
-            self.supervisor = Supervisor(
-                registry=self.registry,
-                heartbeat_s=self.settings.heartbeat_s,
-                stale_after_s=self.settings.stale_after_s,
-                max_restarts=self.settings.max_restarts,
-                backoff_base_s=self.settings.backoff_base_s,
-                backoff_cap_s=self.settings.backoff_cap_s,
-                jitter_s=self.settings.backoff_jitter_s,
-                seed=self.settings.supervisor_seed,
-                degraded_hold_s=self.settings.degraded_hold_s,
-            )
-        if self.supervisor is not None:
-            self.supervisor.add_context(self._breaker_context)
 
         self._cond = threading.Condition()
         #: Live (unresolved) tickets by cache key -- the single-flight map.
@@ -303,14 +291,10 @@ class ExperimentService:
         self._draining = False
         self._started_at = time.monotonic()
         self._dispatcher: Optional[threading.Thread] = None
-        #: Dispatcher restart epoch: a restarted dispatcher bumps this,
-        #: and callbacks from an older generation are discarded.
-        self._generation = 0
-        #: Tickets handed to the executor by the *current* generation.
-        self._dispatching: List[RequestTicket] = []
-        #: Test hook: when set to an Event, the dispatcher blocks on it
-        #: at the top of its loop -- how chaos tests simulate a hang.
-        self._test_hang: Optional[threading.Event] = None
+        #: Why the dispatcher exited outside a drain (None while it runs).
+        self._fatal: Optional[str] = None
+        self._degraded_until = 0.0
+        self._degraded_reason: Optional[str] = None
         self._latencies_ms: Deque[float] = deque(maxlen=2048)
         self._latency_hist = self.registry.histogram(
             "serve.latency_ms", LATENCY_EDGES_MS
@@ -318,96 +302,23 @@ class ExperimentService:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ExperimentService":
-        """Start the dispatcher thread and supervisor (idempotent)."""
+        """Start the dispatcher thread (idempotent)."""
         with self._cond:
             if self._dispatcher is None:
-                self._spawn_dispatcher_locked()
-        if self.supervisor is not None:
-            self.supervisor.register(
-                "dispatcher",
-                alive=self._dispatcher_alive,
-                restart=self._restart_dispatcher,
-            )
-            self.supervisor.register(
-                "executor",
-                alive=lambda: True,
-                restart=self._executor_stalled,
-                armed=lambda: self._in_flight > 0,
-            )
-            self.supervisor.start()
+                self._dispatcher = threading.Thread(
+                    target=self._dispatch_loop,
+                    name="serve-dispatcher",
+                    daemon=True,
+                )
+                self._dispatcher.start()
         return self
 
-    def _spawn_dispatcher_locked(self) -> None:
-        """Start a dispatcher thread for the current generation."""
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            args=(self._generation,),
-            name=f"serve-dispatcher-{self._generation}",
-            daemon=True,
-        )
-        self._dispatcher.start()
-
-    def _dispatcher_alive(self) -> bool:
-        """Supervisor liveness probe for the dispatcher thread."""
-        thread = self._dispatcher
-        return thread is not None and thread.is_alive()
-
-    def _restart_dispatcher(self) -> None:
-        """Replace the dispatcher thread (supervisor restart callback).
-
-        Bumps the generation so the old thread -- and any executor
-        callbacks it still owns -- are discarded, re-queues every
-        unresolved ticket the old generation had dispatched (at the
-        front, preserving admission order), and spawns a fresh thread.
-        Admitted requests are therefore never dropped: their tickets
-        simply ride the next generation's batches.
-        """
+    def _on_executor_event(self, event: str) -> None:
+        """Executor hook: count a pool rebuild or worker restart and
+        hold the service ``degraded`` for :data:`DEGRADED_HOLD_S`."""
         with self._cond:
-            self._generation += 1
-            stale = [t for t in self._dispatching if not t.done]
-            self._dispatching = []
-            for ticket in reversed(stale):
-                self._queue.appendleft(ticket)
-            self._in_flight -= len(stale)
-            self.registry.gauge("serve.in_flight").set(self._in_flight)
-            self.registry.gauge("serve.queue_depth").set(len(self._queue))
-            self._spawn_dispatcher_locked()
-            self._cond.notify_all()
-
-    def _executor_stalled(self) -> None:
-        """Supervisor restart callback for a stale executor pool.
-
-        The pool itself is rebuilt per batch by
-        :class:`~repro.harness.executor.ParallelExecutor`'s own
-        containment, so there is nothing to re-create here; the restart
-        exists so repeated stalls consume the restart budget and
-        escalate the service to ``unhealthy``.
-        """
-        self._bump_unlocked("serve.supervisor.executor_stalls")
-
-    def _executor_beat(self, event: str) -> None:
-        """Heartbeat hook installed on the executor.
-
-        Worker activity refreshes both the executor component and the
-        dispatcher (which is blocked inside ``run_many`` while a batch
-        runs, so it cannot beat for itself).  Pool rebuilds and worker
-        restarts are counted and mark the service degraded.
-        """
-        sup = self.supervisor
-        if sup is not None:
-            sup.beat("executor")
-            sup.beat("dispatcher")
-        if event in ("pool_rebuild", "worker_restart"):
-            self._bump_unlocked("serve.supervisor.worker_restarts")
-            if sup is not None:
-                sup.note_degraded(event)
-
-    def _breaker_context(self) -> Optional[str]:
-        """Degradation probe: report open breaker families, if any."""
-        families = self.breakers.open_families()
-        if families:
-            return "breaker_open:" + ",".join(families)
-        return None
+            self._bump("serve.supervisor.worker_restarts")
+            self._note_degraded_locked(event)
 
     def warm_start(self, journal: SweepJournal) -> int:
         """Seed the memory tier from a resumed journal's replayed results.
@@ -415,8 +326,9 @@ class ExperimentService:
         Returns the number of entries loaded.  Call before :meth:`start`
         (or at least before traffic) -- it writes only the memory tier.
         """
-        for key, result in journal.results.items():
-            self.memory.put(key, result)
+        with self._cond:
+            for key, result in journal.results.items():
+                self.memory.put(key, result)
         return len(journal.results)
 
     def begin_drain(self) -> None:
@@ -425,8 +337,6 @@ class ExperimentService:
             self._draining = True
             self.registry.gauge("serve.draining").set(1.0)
             self._cond.notify_all()
-        if self.supervisor is not None:
-            self.supervisor.set_draining(True)
 
     @property
     def draining(self) -> bool:
@@ -448,8 +358,6 @@ class ExperimentService:
         """
         self.begin_drain()
         idle = self.wait_idle(timeout)
-        if self.supervisor is not None:
-            self.supervisor.stop()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0 if idle else 0.5)
         if self.journal is not None:
@@ -472,8 +380,12 @@ class ExperimentService:
         instead of raising.  A ticket that *joiners* are already
         attached to is resolved with the rejection so every waiter sees
         it.  Breakers only gate fresh simulations: cache hits for a
-        tripped family keep serving at full speed.
+        tripped family keep serving at full speed.  Once the dispatcher
+        has exited, a request that needs a simulation resolves at once
+        as a failure.
         """
+        from repro.serve.breaker import BreakerOpenError, config_family
+
         key = config.cache_key()
         with self._cond:
             self._bump("serve.requests_total")
@@ -485,69 +397,48 @@ class ExperimentService:
                 ticket.waiters += 1
                 self._bump("serve.dedup_coalesced")
                 return ticket
+            ticket = RequestTicket(key, config)
             cached = self.memory.get(key)
             if cached is not None:
-                self._bump("serve.memory_hits")
-                return self._hit_ticket(key, config, cached, "memory")
-            ticket = RequestTicket(key, config)
+                self._resolve_locked(ticket, cached, "memory")
+                return ticket
             self._tickets[key] = ticket
             self._probing += 1
         # Disk probe outside the lock: small JSON read, but no reason to
         # serialize every other submitter behind it.
         result = self.disk_cache.get(config) if self.disk_cache else None
-        if result is not None:
-            self.memory.put(key, result)
-            with self._cond:
-                self._probing -= 1
-                del self._tickets[key]
-                self._bump("serve.disk_hits")
-                ticket.tier = "disk"
-                ticket.result = result
-                self._observe_latency(ticket)
-                self._cond.notify_all()
-            ticket._resolve()
-            return ticket
-        from repro.serve.breaker import BreakerOpenError, config_family
-
         family = config_family(config)
-        decision = self.breakers.admit(family)
-        if not decision.allowed:
-            with self._cond:
-                self._probing -= 1
-                self._cond.notify_all()
-            return self._short_circuit(
-                ticket,
-                reason="breaker_open",
-                rejection=BreakerOpenError(family, decision.remaining_s),
-            )
-        queue_full: Optional[QueueFullError] = None
         with self._cond:
             self._probing -= 1
+            self._cond.notify_all()
+            if result is not None:
+                self.memory.put(key, result)
+                self._resolve_locked(ticket, result, "disk")
+                return ticket
+            if self._fatal is not None:
+                self._resolve_locked(ticket, self._failure(ticket, self._fatal))
+                return ticket
+            decision = self.breakers.admit(family)
             outstanding = len(self._queue) + self._in_flight
-            if self.settings.queue_limit and outstanding >= self.settings.queue_limit:
-                # Build the rejection here but resolve it after the lock
-                # is released (mirroring the breaker-open path above):
-                # _short_circuit reaches into the supervisor, whose lock
-                # is held by check_now() while it calls
-                # _restart_dispatcher(), which takes self._cond --
-                # short-circuiting under self._cond would ABBA-deadlock
-                # admission against a concurrent dispatcher restart.
-                queue_full = QueueFullError(
+            if not decision.allowed:
+                reason = "breaker_open"
+                rejection: AdmissionError = BreakerOpenError(
+                    family, decision.remaining_s
+                )
+            elif self.settings.queue_limit and outstanding >= self.settings.queue_limit:
+                if decision.probe:
+                    self.breakers.abandon_probe(family)
+                reason = "queue_full"
+                rejection = QueueFullError(
                     f"simulation queue full ({outstanding} outstanding, "
                     f"limit {self.settings.queue_limit})"
                 )
             else:
                 ticket.breaker_probe = decision.probe
                 self._queue.append(ticket)
-                self.registry.gauge("serve.queue_depth").set(len(self._queue))
-            self._cond.notify_all()
-        if queue_full is not None:
-            if decision.probe:
-                self.breakers.abandon_probe(family)
-            return self._short_circuit(
-                ticket, reason="queue_full", rejection=queue_full
-            )
-        return ticket
+                self._publish_queue_locked()
+                return ticket
+        return self._short_circuit(ticket, reason, rejection)
 
     def _short_circuit(
         self,
@@ -562,12 +453,8 @@ class ExperimentService:
         it is resolved with ``rejection`` and the rejection is raised.
         Either way the ticket leaves the single-flight map so attached
         joiners see the same outcome.  Degraded results are *not*
-        written to any cache tier.
-
-        Must be called **without** ``self._cond`` held: it builds the
-        degraded topology and calls ``supervisor.note_degraded`` (which
-        takes the supervisor lock), and the supervisor calls back into
-        ``self._cond`` from its restart path.
+        written to any cache tier.  The model runs before the condition
+        is taken, so other submitters do not wait on it.
         """
         degraded: Optional[DegradedResult] = None
         if self.settings.degrade == "analytical":
@@ -585,18 +472,14 @@ class ExperimentService:
                 self._bump("serve.degraded.responses")
                 self._bump(f"serve.degraded.{reason}")
                 self._observe_latency(ticket)
+                self._note_degraded_locked(reason)
             else:
                 ticket.rejection = rejection
-                if reason == "queue_full":
-                    self._bump("serve.rejected_queue_full")
-                else:
-                    self._bump("serve.rejected_breaker_open")
+                self._bump(f"serve.rejected_{reason}")
             self._cond.notify_all()
-        ticket._resolve()
+            ticket._resolve()
         if degraded is None:
             raise rejection
-        if self.supervisor is not None:
-            self.supervisor.note_degraded(reason)
         return ticket
 
     def execute(
@@ -618,213 +501,203 @@ class ExperimentService:
         return ticket
 
     # -- dispatcher ----------------------------------------------------
-    def _beat_dispatcher(self) -> None:
-        if self.supervisor is not None:
-            self.supervisor.beat("dispatcher")
-
-    def _dispatch_loop(self, generation: int) -> None:
+    def _dispatch_loop(self) -> None:
         """Dispatcher thread body: coalesce queued misses into batches.
 
-        ``generation`` is the restart epoch this thread belongs to; a
-        supervisor restart bumps ``self._generation`` and this loop
-        exits the next time it observes the mismatch (its in-flight
-        callbacks are discarded by the same check).  The condition wait
-        is bounded so the loop heartbeats the supervisor even while
-        idle.
+        Returns once draining with nothing queued or being admitted.
+        Anything that escapes a batch (``SystemExit`` and the like; the
+        batch contains ordinary exceptions) ends the thread: the
+        service turns ``unhealthy`` and every ticket that would now
+        never run resolves as a failure.
         """
         settings = self.settings
-        wait_s = (
-            min(1.0, self.supervisor.heartbeat_s)
-            if self.supervisor is not None
-            else 1.0
-        )
-        while True:
-            hang = self._test_hang
-            if hang is not None:
-                hang.wait()
-            self._beat_dispatcher()
-            with self._cond:
-                if generation != self._generation:
-                    return
-                ready = self._cond.wait_for(
-                    lambda: self._queue
-                    or (self._draining and self._probing == 0)
-                    or generation != self._generation,
-                    timeout=wait_s,
-                )
-                if generation != self._generation:
-                    return
-                if not ready:
-                    continue  # idle timeout: beat and re-wait
-                if not self._queue:
-                    # Draining and nothing queued (nor probing): done.
-                    return
-            if settings.batch_window_s > 0 and not self._draining:
-                # Linger so concurrent misses coalesce into one batch.
-                time.sleep(settings.batch_window_s)
-            with self._cond:
-                if generation != self._generation:
-                    return
-                batch: List[RequestTicket] = []
-                while self._queue and len(batch) < settings.batch_max:
-                    batch.append(self._queue.popleft())
-                self._in_flight += len(batch)
-                self._dispatching.extend(batch)
-                if batch:
+        batch: List[RequestTicket] = []
+        try:
+            while True:
+                with self._cond:
+                    self._cond.wait_for(
+                        lambda: self._queue
+                        or (self._draining and self._probing == 0)
+                    )
+                    if not self._queue:
+                        return
+                if settings.batch_window_s > 0 and not self._draining:
+                    # Linger so concurrent misses coalesce into one batch.
+                    time.sleep(settings.batch_window_s)
+                with self._cond:
+                    size = min(len(self._queue), settings.batch_max)
+                    batch = [self._queue.popleft() for _ in range(size)]
+                    self._in_flight += len(batch)
                     self._bump("serve.batches")
-                self.registry.gauge("serve.queue_depth").set(len(self._queue))
-                self.registry.gauge("serve.in_flight").set(self._in_flight)
-            if not batch:
-                continue
-            completed = [False] * len(batch)
+                    self._publish_queue_locked()
+                self._run_batch(batch)
+        except BaseException as exc:
+            reason = f"dispatcher exited: {type(exc).__name__}: {exc}"
+            with self._cond:
+                self._fatal = reason
+                stranded = [t for t in batch if not t.done]
+                self._in_flight -= len(stranded)
+                stranded.extend(self._queue)
+                self._queue.clear()
+                self._publish_queue_locked()
+                for ticket in stranded:
+                    self._resolve_locked(ticket, self._failure(ticket, reason))
+            raise
 
-            def _on_result(
-                index: int,
-                _config: ExperimentConfig,
-                outcome: ExperimentOutcome,
-                _batch: List[RequestTicket] = batch,
-                _completed: List[bool] = completed,
-            ) -> None:
-                _completed[index] = True
-                self._finish_simulated(_batch[index], outcome, generation)
+    def _run_batch(self, batch: List[RequestTicket]) -> None:
+        """Simulate one batch; every ticket in it resolves."""
 
-            try:
-                self.executor.run_many(
-                    [t.config for t in batch], on_result=_on_result
-                )
-            except Exception as exc:  # noqa: BLE001 - never strand waiters
-                for index, ticket in enumerate(batch):
-                    if not completed[index]:
-                        completed[index] = True
-                        self._finish_simulated(
-                            ticket,
-                            FailedResult(
-                                config=ticket.config,
-                                error_type="error",
-                                message=f"executor failed: "
-                                        f"{type(exc).__name__}: {exc}",
-                            ),
-                            generation,
-                        )
+        def on_result(
+            index: int, _config: ExperimentConfig, outcome: ExperimentOutcome
+        ) -> None:
+            self._finish_simulated(batch[index], outcome)
+
+        try:
+            self.executor.run_many([t.config for t in batch], on_result=on_result)
+        except Exception as exc:  # noqa: BLE001 - never strand waiters
+            message = f"executor failed: {type(exc).__name__}: {exc}"
+            for ticket in batch:
+                if not ticket.done:
+                    self._finish_simulated(ticket, self._failure(ticket, message))
 
     def _finish_simulated(
-        self,
-        ticket: RequestTicket,
-        outcome: ExperimentOutcome,
-        generation: int,
+        self, ticket: RequestTicket, outcome: ExperimentOutcome
     ) -> None:
-        """Resolve one dispatched ticket: caches, journal, counters.
+        """Resolve one dispatched ticket: store, journal, memory tier,
+        breaker and counters.
 
-        Outcomes reported by a superseded dispatcher generation are
-        discarded: their tickets were re-queued by
-        :meth:`_restart_dispatcher` and will be (or already were)
-        resolved by the replacement, so acting here would double-count
-        and double-resolve.
+        A store or journal write that raises is counted in
+        ``write_errors`` and reported on stderr; the waiters still get
+        the outcome, because the write only keeps it for later.
         """
-        with self._cond:
-            if generation != self._generation or ticket.done:
-                return
-        failed = isinstance(outcome, FailedResult)
-        if failed:
-            if self.journal is not None:
-                self.journal.record_failed(ticket.key, outcome)
-        else:
-            self.memory.put(ticket.key, outcome)
-            if self.disk_cache is not None:
-                self.disk_cache.put(ticket.config, outcome)
-            if self.journal is not None:
-                self.journal.record_done(ticket.key, outcome)
-        with self._cond:
-            # Re-check: a restart may have raced the cache/journal
-            # writes above, re-queueing this ticket and reclaiming its
-            # in-flight slot.  The duplicate cache writes are
-            # idempotent; the ticket mutation, accounting, and
-            # resolution run only for the generation that still owns
-            # the ticket -- mutating before this re-check would leave a
-            # stale FailedResult on a ticket the next generation
-            # retries (and may resolve successfully).
-            if generation != self._generation or ticket.done:
-                return
-            ticket.tier = "simulated"
-            if failed:
-                ticket.failure = outcome
-                self._bump("serve.failed")
-            else:
-                ticket.result = outcome
-                self._bump("serve.simulated")
-            self._in_flight -= 1
-            self._tickets.pop(ticket.key, None)
-            try:
-                self._dispatching.remove(ticket)
-            except ValueError:
-                pass
-            self._observe_latency(ticket)
-            self.registry.gauge("serve.in_flight").set(self._in_flight)
-            self._cond.notify_all()
-        ticket._resolve()
         from repro.serve.breaker import config_family
 
-        self.breakers.on_result(
-            config_family(ticket.config), failed, probe=ticket.breaker_probe
-        )
+        failed = isinstance(outcome, FailedResult)
+        write_failed = False
+        try:
+            if failed:
+                if self.journal is not None:
+                    self.journal.record_failed(ticket.key, outcome)
+            else:
+                if self.disk_cache is not None:
+                    self.disk_cache.put(ticket.config, outcome)
+                if self.journal is not None:
+                    self.journal.record_done(ticket.key, outcome)
+        except Exception as exc:  # noqa: BLE001 - the answer outranks the copy
+            write_failed = True
+            print(
+                f"repro-mnet serve: could not store {ticket.key}: "
+                f"{type(exc).__name__}: {exc}",
+                file=sys.stderr,
+                flush=True,
+            )
+        with self._cond:
+            if write_failed:
+                self._bump("serve.write_errors")
+            if not failed:
+                self.memory.put(ticket.key, outcome)
+            self.breakers.on_result(
+                config_family(ticket.config), failed, probe=ticket.breaker_probe
+            )
+            self._in_flight -= 1
+            self._publish_queue_locked()
+            self._resolve_locked(ticket, outcome)
 
-    # -- accounting (call with self._cond held) ------------------------
+    # -- helpers (call with self._cond held) ---------------------------
     def _bump(self, name: str, amount: float = 1.0) -> None:
         self.registry.counter(name).inc(amount)
 
-    def _bump_unlocked(self, name: str, amount: float = 1.0) -> None:
-        # Counter increments are GIL-atomic enough for hook paths that
-        # must not take the service lock (executor heartbeats arrive
-        # from worker-facing threads while the dispatcher holds it).
-        self.registry.counter(name).inc(amount)
+    @staticmethod
+    def _failure(ticket: RequestTicket, message: str) -> FailedResult:
+        return FailedResult(config=ticket.config, error_type="error", message=message)
 
-    def _hit_ticket(
+    def _resolve_locked(
         self,
-        key: str,
-        config: ExperimentConfig,
-        result: ExperimentResult,
-        tier: str,
-    ) -> RequestTicket:
-        ticket = RequestTicket(key, config)
+        ticket: RequestTicket,
+        outcome: ExperimentOutcome,
+        tier: str = "simulated",
+    ) -> None:
+        """Answer ``ticket`` from ``tier`` and count it."""
         ticket.tier = tier
-        ticket.result = result
+        if isinstance(outcome, FailedResult):
+            ticket.failure = outcome
+            self._bump("serve.failed")
+        else:
+            ticket.result = outcome
+            self._bump(_TIER_COUNTERS[tier])
+        if self._tickets.pop(ticket.key, None) is not None:
+            self._cond.notify_all()
         self._observe_latency(ticket)
         ticket._resolve()
-        return ticket
+
+    def _publish_queue_locked(self) -> None:
+        self.registry.gauge("serve.queue_depth").set(len(self._queue))
+        self.registry.gauge("serve.in_flight").set(self._in_flight)
+
+    def _note_degraded_locked(self, reason: str) -> None:
+        self._degraded_until = time.monotonic() + DEGRADED_HOLD_S
+        self._degraded_reason = reason
 
     def _observe_latency(self, ticket: RequestTicket) -> None:
         latency_ms = (time.monotonic() - ticket.submitted_at) * 1000.0
         self._latencies_ms.append(latency_ms)
         self._latency_hist.observe(latency_ms)
 
+    def _state_locked(self) -> Tuple[str, Optional[str]]:
+        """``(state, reason)``: the health state, worked out from the
+        dispatcher, the drain flag, the breakers and recent incidents."""
+        if self._fatal is not None:
+            return "unhealthy", self._fatal
+        if self._draining:
+            return "draining", None
+        families = self.breakers.open_families()
+        if families:
+            return "degraded", "breaker_open:" + ",".join(families)
+        if time.monotonic() < self._degraded_until:
+            return "degraded", self._degraded_reason
+        return "healthy", None
+
     # -- introspection -------------------------------------------------
     def health(self) -> Dict:
-        """The ``/healthz`` payload: state machine + probe verdicts.
+        """The ``/healthz`` payload: health state + probe verdicts.
 
-        ``status`` is the supervisor's four-state machine (``healthy`` /
-        ``degraded`` / ``draining`` / ``unhealthy``); ``live`` and
+        ``status`` is one of :data:`SERVICE_STATES`: ``unhealthy`` once
+        the dispatcher exited outside a drain, ``draining`` once drain
+        began, ``degraded`` while a breaker is not closed or within
+        :data:`DEGRADED_HOLD_S` of a pool rebuild, worker restart or
+        degraded answer, and ``healthy`` otherwise.  ``live`` and
         ``ready`` are the split probes ``/healthz/live`` and
-        ``/healthz/ready`` answer.  A degraded service is still live and
+        ``/healthz/ready`` answer: a degraded service is still live and
         ready -- it is answering, possibly approximately -- while
-        draining fails readiness only and unhealthy fails both.  Without
-        a supervisor (``heartbeat_s=0``) the state is derived from the
-        draining flag alone.
+        draining fails readiness only and unhealthy fails both.
         """
-        sup = self.supervisor
-        if sup is not None:
-            state = sup.state
-        else:
-            state = "draining" if self.draining else "healthy"
-        payload: Dict = {
-            "status": state,
-            "live": state != "unhealthy",
-            "ready": state in ("healthy", "degraded"),
-            "draining": self.draining,
-        }
-        if sup is not None:
-            payload["supervisor"] = sup.snapshot()
-        if self.breakers.enabled:
-            payload["open_breakers"] = self.breakers.open_families()
+        with self._cond:
+            state, reason = self._state_locked()
+            payload: Dict = {
+                "status": state,
+                "live": state != "unhealthy",
+                "ready": state in ("healthy", "degraded"),
+                "draining": self._draining,
+                "supervisor": {"state": state, "reason": reason},
+            }
+            if self.breakers.enabled:
+                payload["open_breakers"] = self.breakers.open_families()
+        return payload
+
+    def metrics(self) -> Dict:
+        """The ``/metrics`` payload: the registry dump plus p50/p95 of
+        the latency histogram, snapshotted under the service condition."""
+        with self._cond:
+            self.registry.state_gauge(
+                "serve.supervisor.state", SERVICE_STATES
+            ).set_state(self._state_locked()[0])
+            payload = self.registry.as_dict()
+            payload["quantiles"] = {
+                "serve.latency_ms": {
+                    "p50": self._latency_hist.quantile(0.50),
+                    "p95": self._latency_hist.quantile(0.95),
+                }
+            }
         return payload
 
     def stats(self) -> Dict:
@@ -843,20 +716,30 @@ class ExperimentService:
                     "serve.rejected_draining",
                     "serve.rejected_breaker_open",
                     "serve.batches",
+                    "serve.write_errors",
                     "serve.degraded.responses",
                     "serve.degraded.queue_full",
                     "serve.degraded.breaker_open",
-                    "serve.supervisor.restarts",
                     "serve.supervisor.worker_restarts",
                 )
             }
             recent = sorted(self._latencies_ms)
-            snapshot = {
+            state, reason = self._state_locked()
+            stats = {
                 "draining": self._draining,
                 "uptime_s": time.monotonic() - self._started_at,
                 "queue_depth": len(self._queue),
                 "in_flight": self._in_flight,
                 "queue_limit": self.settings.queue_limit,
+                "memory_cache": self.memory.stats(),
+                "breakers": self.breakers.snapshot(),
+                "supervisor": {
+                    "state": state,
+                    "reason": reason,
+                    "worker_restarts": counters[
+                        "serve.supervisor.worker_restarts"
+                    ],
+                },
             }
         served = (
             counters["serve.memory_hits"]
@@ -877,7 +760,6 @@ class ExperimentService:
             "p50_ms": _percentile(recent, 0.50),
             "p95_ms": _percentile(recent, 0.95),
         }
-        stats = dict(snapshot)
         stats.update(
             requests_total=counters["serve.requests_total"],
             dedup_coalesced=counters["serve.dedup_coalesced"],
@@ -886,8 +768,8 @@ class ExperimentService:
             rejected_breaker_open=counters["serve.rejected_breaker_open"],
             failed=counters["serve.failed"],
             batches=counters["serve.batches"],
+            write_errors=counters["serve.write_errors"],
             tiers=tiers,
-            memory_cache=self.memory.stats(),
             latency=latency,
             executor=self.executor.describe(),
             degraded={
@@ -896,16 +778,7 @@ class ExperimentService:
                 "queue_full": counters["serve.degraded.queue_full"],
                 "breaker_open": counters["serve.degraded.breaker_open"],
             },
-            breakers=self.breakers.snapshot(),
         )
-        if self.supervisor is not None:
-            stats["supervisor"] = self.supervisor.snapshot()
-            stats["supervisor"]["restarts_total"] = counters[
-                "serve.supervisor.restarts"
-            ]
-            stats["supervisor"]["worker_restarts"] = counters[
-                "serve.supervisor.worker_restarts"
-            ]
         if self.disk_cache is not None:
             stats["disk_cache"] = {
                 "hits": self.disk_cache.hits,

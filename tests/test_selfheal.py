@@ -1,11 +1,12 @@
 """Self-healing serve layer tests: circuit-breaker state transitions,
-supervisor restarts (hung dispatcher, restart budget, deterministic
-backoff), analytical graceful degradation (byte-stable JSON, exact
-breakdown match, cache isolation), and the satellite hardening
-(socket-timeout validation, LRU stat windows)."""
+the health state the service works out from its own state (single
+dispatcher, degraded hold, dispatcher exit), analytical graceful
+degradation (byte-stable JSON, exact breakdown match, cache isolation),
+and the satellite hardening (socket-timeout validation, LRU counters)."""
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -17,16 +18,15 @@ from repro.serve import (
     BreakerBoard,
     BreakerOpenError,
     CircuitBreaker,
+    ExperimentServer,
     ExperimentService,
     LruResultCache,
     ServiceSettings,
-    Supervisor,
-    backoff_delay,
     config_family,
     degraded_json,
     make_degraded_result,
 )
-from tests.test_serve import FAST, GateExecutor, fake_result
+from tests.test_serve import FAST, GateExecutor, fake_result, http_request
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 
@@ -154,118 +154,6 @@ class TestBreakerBoard:
         assert config_family(cfg) == f"{cfg.topology}/{cfg.mechanism}"
 
 
-# ----------------------------------------------------------------------
-# Deterministic backoff + supervisor
-# ----------------------------------------------------------------------
-class TestBackoffDeterminism:
-    def test_same_inputs_same_delay(self):
-        a = backoff_delay(3, base_s=0.1, cap_s=30, jitter_s=1.0, seed=42,
-                          name="dispatcher")
-        b = backoff_delay(3, base_s=0.1, cap_s=30, jitter_s=1.0, seed=42,
-                          name="dispatcher")
-        assert a == b
-
-    def test_jitter_varies_with_seed_and_attempt(self):
-        base = dict(base_s=0.1, cap_s=30, jitter_s=1.0, name="dispatcher")
-        assert backoff_delay(1, seed=1, **base) != backoff_delay(1, seed=2, **base)
-        assert backoff_delay(1, seed=1, **base) != backoff_delay(2, seed=1, **base)
-
-    def test_exponential_and_capped(self):
-        delays = [backoff_delay(k, base_s=1.0, cap_s=8.0) for k in range(1, 7)]
-        assert delays == [1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
-        with pytest.raises(ValueError):
-            backoff_delay(0)
-
-    def test_jitter_bounded(self):
-        for attempt in range(1, 20):
-            d = backoff_delay(attempt, base_s=0.0, cap_s=0.0, jitter_s=0.5,
-                              seed=7, name="x")
-            assert 0.0 <= d < 0.5
-
-
-class TestSupervisor:
-    def make(self, clock, **kw):
-        kw.setdefault("heartbeat_s", 1.0)
-        kw.setdefault("stale_after_s", 5.0)
-        kw.setdefault("jitter_s", 0.0)
-        kw.setdefault("backoff_base_s", 0.0)
-        return Supervisor(clock=clock, **kw)
-
-    def test_restarts_dead_component(self, clock):
-        sup = self.make(clock)
-        alive = {"up": True}
-        restarts = []
-
-        def restart():
-            restarts.append(clock())
-            alive["up"] = True
-
-        sup.register("dispatcher", alive=lambda: alive["up"], restart=restart)
-        assert sup.check_now() == []
-        alive["up"] = False
-        assert sup.check_now() == ["dispatcher"]
-        assert restarts and sup.state == "degraded"
-
-    def test_stale_component_restarted_only_when_armed(self, clock):
-        sup = self.make(clock)
-        sup.register("executor", alive=lambda: True, restart=lambda: None,
-                     armed=lambda: False)
-        clock.advance(100.0)
-        assert sup.check_now() == []  # silent but disarmed: fine
-        sup.register("executor", alive=lambda: True, restart=lambda: None,
-                     armed=lambda: True)
-        clock.advance(100.0)
-        assert sup.check_now() == ["executor"]
-
-    def test_restart_budget_exhaustion_goes_unhealthy(self, clock):
-        sup = self.make(clock, max_restarts=2)
-        sup.register("d", alive=lambda: False, restart=lambda: None)
-        for _ in range(2):
-            assert sup.check_now() == ["d"]
-            clock.advance(0.1)
-        assert sup.check_now() == []
-        assert sup.state == "unhealthy"
-        assert not sup.live and not sup.ready
-        assert "restart budget" in sup.snapshot()["reason"]
-
-    def test_raising_restart_goes_unhealthy(self, clock):
-        sup = self.make(clock)
-
-        def broken_restart():
-            raise RuntimeError("cannot revive")
-
-        sup.register("d", alive=lambda: False, restart=broken_restart)
-        sup.check_now()
-        assert sup.state == "unhealthy"
-
-    def test_backoff_paces_consecutive_restarts(self, clock):
-        sup = self.make(clock, backoff_base_s=2.0)
-        sup.register("d", alive=lambda: False, restart=lambda: None)
-        assert sup.check_now() == ["d"]
-        assert sup.check_now() == []  # inside the 2 s backoff window
-        clock.advance(2.1)
-        assert sup.check_now() == ["d"]
-
-    def test_degraded_decays_back_to_healthy(self, clock):
-        sup = self.make(clock, degraded_hold_s=10.0)
-        sup.note_degraded("pool_rebuild")
-        assert sup.state == "degraded"
-        assert sup.live and sup.ready
-        clock.advance(10.1)
-        assert sup.state == "healthy"
-
-    def test_draining_and_context_probes(self, clock):
-        sup = self.make(clock)
-        sup.add_context(lambda: "breaker_open:daisychain/FP")
-        assert sup.state == "degraded"
-        sup.set_draining(True)
-        assert sup.state == "draining"
-        assert sup.live and not sup.ready
-        sup.set_draining(False)
-        assert sup.state == "degraded"
-        assert sup.snapshot()["reason"].startswith("breaker_open")
-
-
 class TestStateGauge:
     def test_states_and_values(self):
         g = StateGauge("s", ("healthy", "degraded"))
@@ -311,18 +199,16 @@ class TestDegradedResponses:
 
 
 def make_service(tmp_path=None, executor=None, registry=None, breakers=None,
-                 supervisor=None, **settings):
+                 **settings):
     from repro.harness.diskcache import DiskCache
 
     settings.setdefault("batch_window_s", 0.005)
-    settings.setdefault("heartbeat_s", 0.0)  # no supervisor thread in tests
     return ExperimentService(
         executor=executor or GateExecutor(),
         disk_cache=DiskCache(tmp_path) if tmp_path is not None else None,
         settings=ServiceSettings(**settings),
         registry=registry,
         breakers=breakers,
-        supervisor=supervisor,
     ).start()
 
 
@@ -419,83 +305,166 @@ class TestServiceDegradation:
         assert service.drain(timeout=10)
 
 
-class TestSupervisedService:
-    def test_hung_dispatcher_restarted_without_dropping_requests(self, cfg, clock):
-        sup = Supervisor(heartbeat_s=1000.0, stale_after_s=1.0, jitter_s=0.0,
-                         backoff_base_s=0.0, clock=clock)
-        service = make_service(supervisor=sup)
-        hang = threading.Event()
-        service._test_hang = hang  # dispatcher blocks at its next loop top
-        deadline = clock  # noqa: F841 - keep the fake clock alive
-        # Wait until the dispatcher is actually wedged on the hang gate.
-        for _ in range(200):
-            if getattr(hang, "_cond", None) and hang._cond._waiters:
-                break
-            threading.Event().wait(0.01)
-        ticket = service.submit(cfg)
-        assert not ticket.wait(0.2)  # hung dispatcher: nothing moves
-        generation = service._generation
-        service._test_hang = None  # only the wedged thread stays trapped
-        clock.advance(2.0)  # past stale_after_s
-        assert sup.check_now() == ["dispatcher"]
-        assert service._generation == generation + 1
-        assert ticket.wait(10), "restarted dispatcher must finish the request"
-        assert ticket.result is not None and ticket.tier == "simulated"
-        assert sup.state == "degraded"  # restart leaves a degraded window
-        hang.set()  # release the old thread; it exits on generation mismatch
-        assert service.drain(timeout=10)
+# ----------------------------------------------------------------------
+# Health worked out from service state (the ``supervisor`` block)
+# ----------------------------------------------------------------------
+class ExitingExecutor(GateExecutor):
+    """Executor whose batch raises ``SystemExit`` out of the dispatcher."""
 
-    def test_health_payload_reflects_supervisor(self, cfg, clock):
-        sup = Supervisor(heartbeat_s=1000.0, stale_after_s=1.0, clock=clock)
-        service = make_service(supervisor=sup)
-        health = service.health()
-        assert health["status"] == "healthy"
-        assert health["live"] and health["ready"]
-        sup.note_degraded("pool_rebuild")
+    def run_many(self, configs, on_result=None):
+        raise SystemExit("executor bailed out")
+
+
+class TestSupervisor:
+    def test_degraded_decays_back_to_healthy(self, monkeypatch):
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "DEGRADED_HOLD_S", 1.0)
+        service = make_service()
+        service.executor.heartbeat("pool_rebuild")
         health = service.health()
         assert health["status"] == "degraded"
         assert health["live"] and health["ready"]
+        assert health["supervisor"] == {"state": "degraded",
+                                        "reason": "pool_rebuild"}
+        time.sleep(1.2)
+        assert service.health()["status"] == "healthy"
+        assert service.drain(timeout=10)
+
+    def test_draining_and_context_probes(self, cfg, clock):
+        board = BreakerBoard(threshold=1, cooldown_s=30.0, clock=clock)
+        service = make_service(breakers=board)
+        family = config_family(cfg)
+        board.on_result(family, failed=True)
+        health = service.health()
+        assert health["status"] == "degraded" and health["ready"]
+        assert health["supervisor"]["reason"] == f"breaker_open:{family}"
+        assert health["open_breakers"] == [family]
         service.begin_drain()
         health = service.health()
         assert health["status"] == "draining"
         assert health["live"] and not health["ready"]
         assert service.drain(timeout=10)
 
-    def test_executor_beats_count_worker_restarts(self, cfg):
-        reg = MetricsRegistry()
-        service = make_service(registry=reg)
-        service._executor_beat("pool_rebuild")
-        service._executor_beat("worker_restart")
-        assert reg.counter("serve.supervisor.worker_restarts").value == 2
+    def test_long_batch_runs_once_and_stays_healthy(self, cfg):
+        executor = GateExecutor(hold=True)
+        service = make_service(executor=executor)
+        ticket = service.submit(cfg)
+        time.sleep(1.5)  # the batch is held inside run_many
+        assert not ticket.done
+        assert service.health()["status"] == "healthy"
+        executor.gate.set()
+        assert ticket.wait(10) and ticket.tier == "simulated"
+        assert executor.batches == [1] and executor.simulated == 1
+        assert service.health()["status"] == "healthy"
         assert service.drain(timeout=10)
 
+    def test_dispatcher_exit_goes_unhealthy(self, cfg):
+        service = make_service(executor=ExitingExecutor())
+        httpd = ExperimentServer(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{httpd.port}/v1"
+        try:
+            ticket = service.submit(cfg)
+            assert ticket.wait(10), "the dispatcher's batch must not strand"
+            assert "dispatcher exited: SystemExit" in ticket.failure.message
+            service._dispatcher.join(timeout=10)
+            assert not service._dispatcher.is_alive()
+            status, _, health = http_request(base + "/healthz")
+            assert status == 503 and health["status"] == "unhealthy"
+            assert health["live"] is False and health["ready"] is False
+            assert "SystemExit" in health["supervisor"]["reason"]
+            assert http_request(base + "/healthz/live")[0] == 503
+            assert http_request(base + "/healthz/ready")[0] == 503
+            # Nothing would ever run a new miss: it fails at once.
+            late = service.submit(cfg.replace(seed=2))
+            assert late.done and late.failure is not None
+            assert service.stats()["in_flight"] == 0
+            assert service.drain(timeout=10)
+        finally:
+            httpd.shutdown()
+            thread.join(timeout=10)
+            httpd.server_close()
+
+
+class TestSupervisedService:
+    def test_health_payload_reflects_supervisor(self, cfg):
+        executor = GateExecutor(hold=True)
+        service = make_service(executor=executor, queue_limit=1,
+                               degrade="analytical")
+        health = service.health()
+        assert health["status"] == "healthy"
+        assert health["live"] and health["ready"]
+        assert health["supervisor"] == {"state": "healthy", "reason": None}
+        blocker = service.submit(cfg.replace(seed=1))
+        assert service.submit(cfg.replace(seed=2)).degraded is not None
+        health = service.health()
+        assert health["status"] == "degraded"
+        assert health["live"] and health["ready"]
+        assert health["supervisor"]["reason"] == "queue_full"
+        assert service.stats()["supervisor"]["state"] == "degraded"
+        executor.gate.set()
+        assert blocker.wait(10)
+        service.begin_drain()
+        health = service.health()
+        assert health["status"] == "draining"
+        assert health["live"] and not health["ready"]
+        assert service.drain(timeout=10)
+
+    def test_executor_beats_count_worker_restarts(self):
+        from repro.harness.executor import ParallelExecutor, SerialExecutor
+        from tests.test_resilience import DIE, OK1
+
+        # A killed isolated child is replaced: one worker_restart.
+        serial = make_service(
+            executor=SerialExecutor(isolate=True, retries=1, backoff_s=0.01)
+        )
+        ticket = serial.execute(DIE, timeout=60)
+        assert ticket.failure is not None
+        assert ticket.failure.error_type == "crash"
+        stats = serial.stats()["supervisor"]
+        assert stats["worker_restarts"] == 1
+        assert stats["state"] == "degraded"
+        assert stats["reason"] == "worker_restart"
+        assert serial.drain(timeout=10)
+        # A worker death breaks the pool: one pool_rebuild.
+        pool = make_service(executor=ParallelExecutor(jobs=2, backoff_s=0.01),
+                            batch_window_s=0.2)
+        tickets = [pool.submit(DIE), pool.submit(OK1)]
+        assert all(t.wait(60) for t in tickets)
+        assert tickets[0].failure is not None and tickets[1].result is not None
+        assert pool.stats()["supervisor"]["worker_restarts"] == 1
+        assert pool.drain(timeout=10)
+
 
 # ----------------------------------------------------------------------
-# Lock ordering between the service condition and the supervisor lock
+# The service condition is the only lock
 # ----------------------------------------------------------------------
 class TestLockOrdering:
-    def test_queue_full_degraded_short_circuit_drops_service_lock(self, cfg):
-        """Regression: the queue-full path used to call _short_circuit
-        while holding the service condition; note_degraded then took the
-        supervisor lock, ABBA-deadlocking against check_now() holding
-        the supervisor lock while _restart_dispatcher takes the
-        condition."""
-        holder = {}
-        seen = []
+    def test_queue_full_degraded_short_circuit_drops_service_lock(
+        self, cfg, monkeypatch
+    ):
+        """The analytical answer for a saturated queue is built before
+        the service condition is taken, so other submitters never wait
+        on the model."""
+        from repro.serve import service as service_module
 
-        class CondCheckingSupervisor(Supervisor):
-            def note_degraded(self, reason):
-                assert not holder["service"]._cond._is_owned(), (
-                    "note_degraded must not run while the calling thread "
-                    "holds the service condition"
-                )
-                seen.append(reason)
-                super().note_degraded(reason)
+        holder, seen = {}, []
+        build = service_module.make_degraded_result
 
-        sup = CondCheckingSupervisor(heartbeat_s=1000.0)
+        def checked_build(config, key, reason):
+            assert not holder["service"]._cond._is_owned(), (
+                "the degraded model must not run under the service condition"
+            )
+            seen.append(reason)
+            return build(config, key, reason)
+
+        monkeypatch.setattr(service_module, "make_degraded_result",
+                            checked_build)
         executor = GateExecutor(hold=True)
-        service = make_service(executor=executor, supervisor=sup,
-                               queue_limit=1, degrade="analytical")
+        service = make_service(executor=executor, queue_limit=1,
+                               degrade="analytical")
         holder["service"] = service
         blocker = service.submit(cfg.replace(seed=1))
         ticket = service.submit(cfg.replace(seed=2))  # saturates the queue
@@ -503,79 +472,6 @@ class TestLockOrdering:
         assert seen == ["queue_full"]
         executor.gate.set()
         assert blocker.wait(10)
-        assert service.drain(timeout=10)
-
-    def test_restart_callbacks_run_without_supervisor_lock(self, clock):
-        """check_now must invoke restart callbacks after dropping its
-        lock: restarts reach into the service condition, which other
-        threads hold while calling beat()/note_degraded()."""
-        sup = Supervisor(heartbeat_s=1.0, stale_after_s=5.0, jitter_s=0.0,
-                         backoff_base_s=0.0, clock=clock)
-        ran = []
-
-        def restart():
-            assert not sup._lock._is_owned(), (
-                "restart callbacks must run outside the supervisor lock"
-            )
-            sup.beat("d")  # what a restarted component's threads do
-            ran.append(True)
-
-        sup.register("d", alive=lambda: False, restart=restart)
-        assert sup.check_now() == ["d"]
-        assert ran == [True]
-        assert sup.state == "degraded"
-
-
-class RacingJournal:
-    """Journal stub whose failure record fires a dispatcher restart,
-    landing exactly in _finish_simulated's unlocked window."""
-
-    def __init__(self, service=None, executor=None):
-        self.service = service
-        self.executor = executor
-        self.fire = True
-        self.records_written = 0
-        self.path = "racing-journal"
-
-    def record_failed(self, key, outcome):
-        if self.fire:
-            self.fire = False
-            self.executor.fail = False  # the retry will succeed
-            self.service._restart_dispatcher()
-
-    def record_done(self, key, outcome):
-        self.records_written += 1
-
-    def close(self):
-        pass
-
-
-class TestSupersededGeneration:
-    def test_superseded_failure_does_not_stick_to_requeued_ticket(self, cfg):
-        """Regression: a failure reported by a superseded dispatcher
-        generation must not mutate a ticket the restart re-queued --
-        the stale FailedResult would win over the retry's success and
-        the waiter would see a 500 for a simulation that passed."""
-        from repro.serve.http import _ticket_payload
-
-        executor = GateExecutor(fail=True)
-        journal = RacingJournal(executor=executor)
-        service = ExperimentService(
-            executor=executor,
-            settings=ServiceSettings(batch_window_s=0.0, heartbeat_s=0.0),
-            journal=journal,
-        ).start()
-        journal.service = service
-        ticket = service.submit(cfg)
-        assert ticket.wait(10), "re-queued ticket must resolve"
-        assert ticket.failure is None, (
-            "stale generation's failure leaked onto the retried ticket"
-        )
-        assert ticket.result is not None and ticket.tier == "simulated"
-        status, _ = _ticket_payload(ticket)
-        assert status == 200
-        assert executor.simulated == 2  # failed once, retried once
-        assert service.registry.counter("serve.failed").value == 0
         assert service.drain(timeout=10)
 
 
@@ -607,23 +503,18 @@ class TestServiceSettingsValidation:
         with pytest.raises(ValueError):
             ServiceSettings(breaker_threshold=-1)
         with pytest.raises(ValueError):
-            ServiceSettings(heartbeat_s=-1.0)
-        with pytest.raises(ValueError):
             ServiceSettings(socket_timeout_s=0.0)
 
 
 class TestLruStatWindows:
-    def test_inserts_are_monotonic_across_reset(self, cfg):
+    def test_inserts_are_monotonic(self, cfg):
         lru = LruResultCache(capacity=4)
         for i in range(3):
             lru.put(f"k{i}", fake_result(cfg.replace(seed=i)))
         lru.get("k0")
         lru.get("missing")
-        assert lru.stats()["inserts"] == 3
-        lru.reset_stats()
         stats = lru.stats()
-        assert (stats["hits"], stats["misses"], stats["evictions"]) == (0, 0, 0)
-        assert stats["inserts"] == 3  # survives the reset
+        assert (stats["hits"], stats["misses"], stats["inserts"]) == (1, 1, 3)
         lru.put("k9", fake_result(cfg.replace(seed=9)))
         assert lru.stats()["inserts"] == 4
 

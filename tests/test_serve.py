@@ -1,7 +1,9 @@
 """Experiment service tests: tiering, single-flight dedup, batching,
 backpressure/admission codes, graceful drain, and the HTTP API
-(endpoints, error mapping, /stats accounting)."""
+(endpoints, error mapping, /stats accounting, and the /v1 keys the
+benchmark and the smoke scripts read)."""
 
+import errno
 import json
 import threading
 import time
@@ -148,6 +150,48 @@ class TestSingleFlight:
         assert executor.simulated == 2
         assert service.stats()["dedup_coalesced"] == 0
         assert service.drain(timeout=5)
+
+    def test_concurrent_submitters_lose_no_update(self, cfg):
+        """Memory tier, breakers and counters share the service
+        condition: hammer them from more threads than cores with a
+        short switch interval and check that every count adds up."""
+        import sys
+
+        executor = GateExecutor()
+        service = make_service(executor=executor, queue_limit=0,
+                               batch_window_s=0.0)
+        configs = [cfg.replace(seed=i) for i in range(24)]
+        threads, per_thread = 8, 150
+
+        def hammer(offset: int) -> None:
+            for i in range(per_thread):
+                ticket = service.submit(configs[(offset * 7 + i) % len(configs)])
+                assert ticket.wait(20)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer, args=(k,))
+                       for k in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = service.stats()
+        total = threads * per_thread
+        tiers = stats["tiers"]
+        assert stats["requests_total"] == total
+        assert (tiers["memory"] + tiers["disk"] + tiers["simulated"]
+                + stats["dedup_coalesced"]) == total
+        lru = stats["memory_cache"]
+        assert lru["hits"] == tiers["memory"]
+        assert lru["hits"] + lru["misses"] == total - stats["dedup_coalesced"]
+        assert lru["inserts"] == tiers["simulated"] == executor.simulated
+        assert stats["in_flight"] == 0 and stats["queue_depth"] == 0
+        assert service.drain(timeout=10)
 
 
 class TestTiering:
@@ -335,6 +379,27 @@ class TestFailures:
         # The key is live again: a retry re-dispatches.
         executor.fail = False
         assert service.execute(cfg, timeout=10).result is not None
+        assert service.drain(timeout=5)
+
+    def test_failing_store_write_still_answers(self, cfg, tmp_path):
+        class FullDisk(DiskCache):
+            def put(self, config, result):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        service = ExperimentService(
+            executor=GateExecutor(),
+            disk_cache=FullDisk(tmp_path),
+            settings=ServiceSettings(batch_window_s=0.005),
+        ).start()
+        ticket = service.submit(cfg)
+        assert ticket.wait(10), "a failing store write stranded the request"
+        assert ticket.tier == "simulated" and ticket.result is not None
+        stats = service.stats()
+        assert stats["write_errors"] == 1
+        assert stats["in_flight"] == 0 and stats["failed"] == 0
+        # The answer still reached the memory tier; no dead ticket to join.
+        repeat = service.submit(cfg)
+        assert repeat.done and repeat.tier == "memory"
         assert service.drain(timeout=5)
 
 
@@ -540,8 +605,8 @@ class TestApiVersioning:
         for path in self.GET_PATHS:
             s_v1, _, b_v1 = http_request(base + "/v1" + path)
             s_old, _, b_old = http_request(base + path)
-            # Bodies can carry time-varying values (heartbeat ages);
-            # the alias contract is same status and same shape.
+            # Bodies can carry time-varying values (uptime); the
+            # alias contract is same status and same shape.
             assert s_old == s_v1, path
             assert sorted(b_old) == sorted(b_v1), path
 
@@ -571,6 +636,90 @@ class TestApiVersioning:
         assert status == 404
         assert "Deprecation" not in headers
         assert http_request(base + "/v1/nope")[0] == 404
+
+
+# ----------------------------------------------------------------------
+# The /v1 keys outside callers read
+# ----------------------------------------------------------------------
+NUMBER = (int, float)
+
+#: ``/v1/stats`` paths read by perfbench/serve_mixed.py,
+#: scripts/serve_smoke.py and scripts/selfheal_smoke.py, with types.
+STATS_CONTRACT = {
+    ("tiers", "memory"): NUMBER,
+    ("tiers", "disk"): NUMBER,
+    ("tiers", "simulated"): NUMBER,
+    ("requests_total",): NUMBER,
+    ("dedup_coalesced",): NUMBER,
+    ("batches",): NUMBER,
+    ("in_flight",): NUMBER,
+    ("rejected_queue_full",): NUMBER,
+    ("rejected_draining",): NUMBER,
+    ("rejected_breaker_open",): NUMBER,
+    ("disk_cache", "writes"): NUMBER,
+    ("disk_cache", "backend"): str,
+    ("degraded", "queue_full"): NUMBER,
+    ("degraded", "breaker_open"): NUMBER,
+    ("breakers", "families"): dict,
+    ("supervisor", "worker_restarts"): NUMBER,
+}
+
+#: ``/v1/healthz`` keys the same callers read.
+HEALTH_CONTRACT = {
+    ("status",): str,
+    ("live",): bool,
+    ("ready",): bool,
+    ("open_breakers",): list,
+}
+
+
+def _check_contract(body, contract):
+    for path, kind in contract.items():
+        value = body
+        for key in path:
+            assert isinstance(value, dict) and key in value, path
+            value = value[key]
+        assert isinstance(value, kind), (path, value)
+
+
+class TestOutsideCallerContract:
+    def test_v1_keys_read_by_benchmark_and_smokes(self, tmp_path):
+        from repro.harness.executor import make_executor
+        from repro.store import make_store
+
+        # Built with the keywords the benchmark's in-process server uses.
+        service = ExperimentService(
+            executor=make_executor(1),
+            disk_cache=make_store("json", tmp_path),
+            settings=ServiceSettings(),
+        )
+        httpd = ExperimentServer(("127.0.0.1", 0), service)
+        base = f"http://127.0.0.1:{httpd.port}/v1"
+        service.start()
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            status, _, body = http_request(base + "/run", CONFIG_BODY,
+                                           timeout=120)
+            assert status == 200 and body["tier"] == "simulated"
+            assert {"key", "result", "summary"} <= set(body)
+            _, _, stats = http_request(base + "/stats")
+            _check_contract(stats, STATS_CONTRACT)
+            families = stats["breakers"]["families"]
+            assert families
+            assert all(isinstance(b["state"], str) for b in families.values())
+            status, _, health = http_request(base + "/healthz")
+            assert status == 200
+            _check_contract(health, HEALTH_CONTRACT)
+            status, _, live = http_request(base + "/healthz/live")
+            assert status == 200 and live["live"] is True
+            status, _, ready = http_request(base + "/healthz/ready")
+            assert status == 200 and ready["ready"] is True
+        finally:
+            assert service.drain(timeout=60)
+            httpd.shutdown()
+            thread.join(timeout=10)
+            httpd.server_close()
 
 
 # ----------------------------------------------------------------------
