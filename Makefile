@@ -46,13 +46,15 @@ bench-quick:
 bench-gate:
 	$(PYTHON) -m repro.cli bench --quick --baseline benchmarks/baseline_ci.json --max-regress 25
 
-# The CI bench-check job: run each workload of the repository benchmark
-# (perfbench/, BENCHMARK.json) for 10 s with tracing on, echo its
-# output, and fail unless its final JSON line reads "correct": true.
+# The CI bench-check job: run the tests of the benchmark's own logic,
+# then each workload of the repository benchmark (perfbench/,
+# BENCHMARK.json) for 10 s with tracing on, echo its output, and fail
+# unless its final JSON line reads "correct": true.
 BENCH_WORKLOADS = cold_sweep warm_replay serve_mixed
 BENCH_CORRECT = import json, sys; lines = sys.stdin.read().splitlines(); print(*lines, sep="\n"); sys.exit(not lines or json.loads(lines[-1]).get("correct") is not True)
 
 bench-check:
+	$(PYTHON) -m pytest perfbench/tests -q
 	@for w in $(BENCH_WORKLOADS); do \
 	  $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 10 --trace 1 \
 	    | $(PYTHON) -c '$(BENCH_CORRECT)' \

@@ -78,6 +78,9 @@ class DiskCache:
         # Guards the counters above (file operations are individually
         # atomic and need no lock; see the module docstring).
         self._lock = threading.Lock()
+        # Resolved once: path_for runs on every lookup, and the schema
+        # tag cannot change while the process runs.
+        self._entry_dir = os.path.join(self.root, self.schema_tag)
 
     @property
     def schema_tag(self) -> str:
@@ -89,11 +92,11 @@ class DiskCache:
     @property
     def directory(self) -> Path:
         """The active (schema-tagged) cache directory."""
-        return self.root / self.schema_tag
+        return Path(self._entry_dir)
 
     def path_for(self, config: ExperimentConfig) -> Path:
         """Where this config's result lives (whether or not it exists)."""
-        return self.directory / f"{config.cache_key()}.json"
+        return Path(os.path.join(self._entry_dir, config.cache_key() + ".json"))
 
     def get(self, config: ExperimentConfig) -> Optional[ExperimentResult]:
         """The cached result for ``config``, or ``None`` on a miss."""

@@ -95,6 +95,10 @@ class ExperimentConfig:
     #: docs/validation.md.
     audit: str = ""
 
+    # cache_key()'s memo.  Unannotated, so not a dataclass field: it
+    # stays out of ``==``, ``hash``, ``repr`` and ``asdict``.
+    _cache_key = None
+
     def __post_init__(self) -> None:
         # Canonicalize names through the registries so "fp", "Fp", and
         # "FP" (and aliases like "ROO+VWL") are the same config and hash
@@ -107,9 +111,10 @@ class ExperimentConfig:
         mapping = MAPPINGS.canonical(self.mapping)
         if mapping != self.mapping:
             object.__setattr__(self, "mapping", mapping)
-        overrides = canonical_override_spec(self.mechanism_overrides)
-        if overrides != self.mechanism_overrides:
-            object.__setattr__(self, "mechanism_overrides", overrides)
+        if self.mechanism_overrides:
+            overrides = canonical_override_spec(self.mechanism_overrides)
+            if overrides != self.mechanism_overrides:
+                object.__setattr__(self, "mechanism_overrides", overrides)
         if self.scale not in ("small", "big"):
             raise ValueError(f"scale must be 'small' or 'big', got {self.scale!r}")
         if self.window_ns <= 0:
@@ -121,8 +126,9 @@ class ExperimentConfig:
                 f"unknown trace format {self.trace_format!r}; "
                 f"expected one of {TRACE_FORMATS}"
             )
-        # Fail fast on bad category specs even when tracing is off.
-        parse_categories(self.trace_categories or None)
+        if self.trace_categories:
+            # Fail fast on bad category specs even when tracing is off.
+            parse_categories(self.trace_categories)
         if self.audit not in ("", "warn", "strict"):
             raise ValueError(
                 f"audit must be '', 'warn', or 'strict', got {self.audit!r}"
@@ -170,19 +176,33 @@ class ExperimentConfig:
         result cache so the same logical run is never simulated twice.
         Observability-only fields (:data:`OBSERVABILITY_FIELDS`) are
         excluded; field order does not matter (sorted before hashing).
+
+        Computed once per instance: configs are frozen and
+        :meth:`replace` builds a new instance, so the key cannot go
+        stale.
         """
-        payload = {
-            name: getattr(self, name)
-            for name in sorted(self.__dataclass_fields__)
-            if name not in OBSERVABILITY_FIELDS
-        }
-        if not payload["mechanism_overrides"]:
-            # Homogeneous configs hash exactly as they did before the
-            # field existed, keeping pinned goldens and disk caches
-            # valid.
-            del payload["mechanism_overrides"]
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+        key: Optional[str] = self._cache_key
+        if key is None:
+            payload = {name: getattr(self, name) for name in _KEYED_FIELDS}
+            if not payload["mechanism_overrides"]:
+                # Homogeneous configs hash exactly as they did before the
+                # field existed, keeping pinned goldens and disk caches
+                # valid.
+                del payload["mechanism_overrides"]
+            blob = _KEY_ENCODER.encode(payload)
+            key = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+            object.__setattr__(self, "_cache_key", key)
+        return key
+
+
+#: The fields :meth:`ExperimentConfig.cache_key` hashes, sorted.
+_KEYED_FIELDS: Tuple[str, ...] = tuple(
+    name
+    for name in sorted(ExperimentConfig.__dataclass_fields__)
+    if name not in OBSERVABILITY_FIELDS
+)
+#: The encoder ``cache_key`` has always used, built once.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass

@@ -302,7 +302,9 @@ def fig13_link_hours(
                 settings, workload, topology, scale, "VWL", policy, 0.05
             ).replace(collect_link_hours=True)
             res = runner.run(config)
-            for key, t in (res.link_hours or {}).items():
+            # Sorted, so a stored result (whose link hours come back
+            # sorted) sums in the same order as a fresh one.
+            for key, t in sorted((res.link_hours or {}).items()):
                 hours[key] = hours.get(key, 0.0) + t
                 total += t
     out: Dict[str, Dict[int, float]] = {

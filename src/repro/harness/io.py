@@ -150,6 +150,10 @@ _CACHE_SCALARS: Sequence[str] = (
 )
 
 
+#: Key order of a simulated result's ``breakdown.watts``.
+_WATTS_ORDER: Sequence[str] = tuple(PowerBreakdown.categories())
+
+
 def result_to_cache_dict(result: ExperimentResult) -> Dict:
     """Full, lossless ExperimentResult -> plain dict (JSON-safe).
 
@@ -174,15 +178,24 @@ def result_to_cache_dict(result: ExperimentResult) -> Dict:
 
 
 def result_from_cache_dict(data: Dict) -> ExperimentResult:
-    """Inverse of :func:`result_to_cache_dict`."""
+    """Inverse of :func:`result_to_cache_dict`.
+
+    ``watts`` is rebuilt in :meth:`PowerBreakdown.categories` order (any
+    other keys after them), the order a simulation fills it in, so
+    ``total_w`` sums the same floats in the same order whichever order
+    the store handed them back in.
+    """
     link_hours = None
     if data.get("link_hours") is not None:
         link_hours = {
             (label, int(width)): hours for label, width, hours in data["link_hours"]
         }
+    stored = data["watts"]
+    watts = {name: stored[name] for name in _WATTS_ORDER if name in stored}
+    watts.update(stored)
     return ExperimentResult(
         config=config_from_dict(data["config"]),
-        breakdown=PowerBreakdown(watts=dict(data["watts"])),
+        breakdown=PowerBreakdown(watts=watts),
         link_hours=link_hours,
         **{name: data[name] for name in _CACHE_SCALARS},
     )

@@ -306,6 +306,10 @@ class ExperimentServer(ThreadingHTTPServer):
 
     daemon_threads = False
     block_on_close = True
+    #: Listen backlog.  socketserver's default of 5 drops the SYN of the
+    #: 7th client in a burst that arrives while handler threads hold the
+    #: interpreter lock, and the client retries only after 1 s.
+    request_queue_size = 128
 
     def __init__(
         self,

@@ -52,6 +52,7 @@ touches the caches, and degraded tickets never reach it.
 
 from __future__ import annotations
 
+import sqlite3
 import sys
 import threading
 import time
@@ -382,7 +383,9 @@ class ExperimentService:
         it.  Breakers only gate fresh simulations: cache hits for a
         tripped family keep serving at full speed.  Once the dispatcher
         has exited, a request that needs a simulation resolves at once
-        as a failure.
+        as a failure.  So does one whose store read raises
+        (``OSError``, ``sqlite3.Error``); it is counted in
+        ``read_errors``.
         """
         from repro.serve.breaker import BreakerOpenError, config_family
 
@@ -405,12 +408,24 @@ class ExperimentService:
             self._tickets[key] = ticket
             self._probing += 1
         # Disk probe outside the lock: small JSON read, but no reason to
-        # serialize every other submitter behind it.
-        result = self.disk_cache.get(config) if self.disk_cache else None
+        # serialize every other submitter behind it.  Compared with None,
+        # never truth-tested: a store's len() may scan it.
+        result: Optional[ExperimentResult] = None
+        read_error: Optional[str] = None
+        if self.disk_cache is not None:
+            try:
+                result = self.disk_cache.get(config)
+            except (OSError, sqlite3.Error) as exc:
+                read_error = f"could not read {key}: {type(exc).__name__}: {exc}"
+                print(f"repro-mnet serve: {read_error}", file=sys.stderr, flush=True)
         family = config_family(config)
         with self._cond:
             self._probing -= 1
             self._cond.notify_all()
+            if read_error is not None:
+                self._bump("serve.read_errors")
+                self._resolve_locked(ticket, self._failure(ticket, read_error))
+                return ticket
             if result is not None:
                 self.memory.put(key, result)
                 self._resolve_locked(ticket, result, "disk")
@@ -716,6 +731,7 @@ class ExperimentService:
                     "serve.rejected_draining",
                     "serve.rejected_breaker_open",
                     "serve.batches",
+                    "serve.read_errors",
                     "serve.write_errors",
                     "serve.degraded.responses",
                     "serve.degraded.queue_full",
@@ -768,6 +784,7 @@ class ExperimentService:
             rejected_breaker_open=counters["serve.rejected_breaker_open"],
             failed=counters["serve.failed"],
             batches=counters["serve.batches"],
+            read_errors=counters["serve.read_errors"],
             write_errors=counters["serve.write_errors"],
             tiers=tiers,
             latency=latency,

@@ -52,6 +52,10 @@ class ResultStore(Protocol):
     across processes (two CLI invocations may race on the same path).
     Counter attributes (``hits``, ``misses``, ``writes``,
     ``quarantined``) must stay exact under that contention.
+
+    ``len()`` may scan the whole store (a directory glob, a ``COUNT``
+    query), and an empty store is falsy.  Code that holds an optional
+    store compares it with ``None``; it never truth-tests it.
     """
 
     hits: int

@@ -1,9 +1,12 @@
 """Property tests for serialization round-trips."""
 
+import hashlib
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.experiment import ExperimentConfig
+from repro.harness.experiment import OBSERVABILITY_FIELDS, ExperimentConfig
 from repro.harness.io import config_from_dict, config_to_dict
 from repro.workloads.profiles import WORKLOAD_NAMES
 from repro.workloads.traces import TraceRecord
@@ -43,10 +46,24 @@ def test_mechanism_canonicalized_property(config):
     assert config == config.replace(mechanism=config.mechanism.lower())
 
 
+def historical_cache_key(config):
+    """The key as ``cache_key()`` has always computed it, step by step."""
+    payload = {
+        name: getattr(config, name)
+        for name in sorted(config.__dataclass_fields__)
+        if name not in OBSERVABILITY_FIELDS
+    }
+    if not payload["mechanism_overrides"]:
+        del payload["mechanism_overrides"]
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+
+
 @settings(max_examples=60, deadline=None)
 @given(config=config_strategy)
 def test_cache_key_property(config):
     key = config.cache_key()
+    assert key == historical_cache_key(config)
     # Stable and insensitive to observability flags...
     assert key == config.cache_key()
     assert key == config.replace(

@@ -5,6 +5,8 @@ benchmark and the smoke scripts read)."""
 
 import errno
 import json
+import socket
+import sqlite3
 import threading
 import time
 import urllib.error
@@ -402,6 +404,71 @@ class TestFailures:
         assert repeat.done and repeat.tier == "memory"
         assert service.drain(timeout=5)
 
+    @pytest.mark.parametrize(
+        "backend, error",
+        [
+            ("json", OSError(errno.EIO, "Input/output error")),
+            ("sqlite", OSError(errno.EIO, "Input/output error")),
+            ("sqlite", sqlite3.OperationalError("disk I/O error")),
+        ],
+    )
+    def test_failing_store_read_resolves_as_failure(
+        self, cfg, tmp_path, monkeypatch, backend, error
+    ):
+        from repro.store import make_store
+
+        store = make_store(backend, tmp_path)
+        other = cfg.replace(seed=99)
+        store.put(other, fake_result(other))  # non-empty: the probe runs
+
+        def broken_get(config):
+            raise error
+
+        monkeypatch.setattr(store, "get", broken_get)
+        service = ExperimentService(
+            executor=GateExecutor(),
+            disk_cache=store,
+            settings=ServiceSettings(batch_window_s=0.005),
+        ).start()
+        ticket = service.submit(cfg)
+        assert ticket.done and ticket.failure is not None
+        assert type(error).__name__ in ticket.failure.message
+        # Nothing stranded: a repeat gets its own answer, not a dead ticket.
+        repeat = service.submit(cfg)
+        assert repeat is not ticket and repeat.wait(5)
+        assert repeat.failure is not None
+        stats = service.stats()
+        assert stats["read_errors"] == 2 and stats["failed"] == 2
+        assert stats["tiers"]["simulated"] == 0
+        assert service.drain(2.0)
+
+    @pytest.mark.parametrize("backend", ["json", "sqlite"])
+    def test_disk_probe_never_sizes_the_store(self, cfg, tmp_path, backend):
+        from repro.store import JsonDirStore, SqliteStore
+
+        sized = []
+        base = JsonDirStore if backend == "json" else SqliteStore
+
+        class CountingStore(base):
+            def __len__(self):
+                sized.append(1)
+                return super().__len__()
+
+        store = CountingStore(
+            tmp_path if backend == "json" else tmp_path / "results.sqlite"
+        )
+        stored = cfg.replace(seed=99)
+        store.put(stored, fake_result(stored))
+        service = ExperimentService(
+            executor=GateExecutor(),
+            disk_cache=store,
+            settings=ServiceSettings(batch_window_s=0.005),
+        ).start()
+        assert service.execute(stored, timeout=10).tier == "disk"
+        assert service.execute(cfg, timeout=10).tier == "simulated"
+        assert service.drain(timeout=5)
+        assert sized == []
+
 
 # ----------------------------------------------------------------------
 # HTTP layer
@@ -487,6 +554,21 @@ class TestHttpApi:
             status, _, body = http_request(base + "/v1/run", bad)
             assert status == 400, bad
             assert "error" in body
+
+    def test_listen_backlog_holds_a_burst_of_connections(self):
+        """A burst of concurrent clients waits in the backlog, not 1 s in
+        SYN retransmission (the server here is bound but not accepting)."""
+        httpd = ExperimentServer(("127.0.0.1", 0), ExperimentService())
+        sockets = []
+        try:
+            for _ in range(32):
+                sockets.append(socket.create_connection(
+                    ("127.0.0.1", httpd.port), timeout=0.5))
+        finally:
+            for sock in sockets:
+                sock.close()
+            httpd.server_close()
+        assert len(sockets) == 32
 
     def test_unknown_path_is_404(self, http_server):
         base, _, _ = http_server

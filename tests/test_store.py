@@ -19,6 +19,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
+from repro.harness import figures as F
 from repro.harness.diskcache import DiskCache
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.io import result_to_cache_dict
@@ -447,3 +448,48 @@ class TestSweepRunnerIntegration:
         outcome = runner.run_all([config])[0]
         assert runner.disk_hits == 1 and runner.runs == 0
         assert result_to_cache_dict(outcome) == result_to_cache_dict(result)
+
+
+class TestStoredRowsBitIdentical:
+    """A stored result reduces to exactly the floats a fresh one does.
+
+    The SQLite store hands ``watts`` back in sorted key order and both
+    stores return link hours sorted; power totals and figure 13 must
+    not depend on that order.  Both the grid and the extra run were
+    picked because summing them in the stores' order changes the last
+    bit.
+    """
+
+    SETTINGS = F.RunSettings(
+        workloads=("sp.D", "mixB"),
+        topologies=("ternary_tree",),
+        **FAST,
+    )
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        runner = SweepRunner()
+        rows = F.fig13_link_hours(runner, self.SETTINGS, scale="small")
+        runner.run(
+            ExperimentConfig(workload="mixB", mechanism="VWL", policy="unaware",
+                             collect_link_hours=True, **FAST)
+        )
+        return list(runner.cache.values()), rows
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_round_trip(self, tmp_path, fresh, backend):
+        results, rows = fresh
+        store = make_store(backend, tmp_path)
+        for result in results:
+            assert result.link_hours
+            store.put(result.config, result)
+        for result in results:
+            stored = store.get(result.config)
+            assert stored.link_hours == result.link_hours
+            for name in ("total_w", "io_fraction", "idle_io_fraction"):
+                assert getattr(stored.breakdown, name) == getattr(
+                    result.breakdown, name
+                ), name
+        replay = SweepRunner(disk_cache=store)
+        assert F.fig13_link_hours(replay, self.SETTINGS, scale="small") == rows
+        assert replay.runs == 0
