@@ -235,9 +235,21 @@ def main() -> int:
         slow.start()
         time.sleep(0.5)  # let it be admitted and dispatched
         server.send_signal(signal.SIGTERM)
+        # The signal reaches the drain asynchronously: wait until
+        # /v1/healthz says draining, so the probe cannot be admitted
+        # first.  A failed connection means the drain already finished.
+        probe = ServeClient(base, timeout_s=5.0, max_retries=0)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            try:
+                status, _, body = probe.request("/v1/healthz")
+            except ServeError:
+                break
+            if status == 503 and body.get("status") == "draining":
+                break
+            time.sleep(0.01)
         # New work during the drain must be refused with 503 (the
         # listener may already be gone if the drain won the race).
-        probe = ServeClient(base, timeout_s=5.0, max_retries=0)
         try:
             probe.run(dict(CONFIG, seed=7))
             check(False, "request during drain refused with 503",

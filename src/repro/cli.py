@@ -407,8 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
              "memory tier (default: 512)")
     serve_p.add_argument(
         "--batch-window-ms", type=float, default=10.0, metavar="MS",
-        help="linger before dispatching queued misses, so concurrent "
-             "requests coalesce into one executor batch (default: 10)")
+        help="with a pool (--jobs > 1), how long the dispatcher waits "
+             "for concurrent misses to coalesce into one executor batch, "
+             "ending early at --batch-max or drain; a serial executor "
+             "dispatches at once (default: 10)")
     serve_p.add_argument(
         "--batch-max", type=int, default=16, metavar="N",
         help="max configs per coalesced executor batch (default: 16)")

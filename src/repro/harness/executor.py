@@ -126,13 +126,24 @@ def _failed_from_exception(
 class Executor:
     """Interface: turn a batch of configs into a batch of outcomes."""
 
-    #: Worker count, for display purposes.
+    #: Worker count as configured.  Read it through :attr:`workers`,
+    #: which resolves it to how many configs one ``run_many`` call runs
+    #: at once.
     jobs: int = 1
 
     #: Optional event hook (see :data:`HeartbeatHook`); the experiment
     #: service installs one via :func:`with_heartbeat` to count worker
     #: restarts and pool rebuilds.
     heartbeat: Optional[HeartbeatHook] = None
+
+    @property
+    def workers(self) -> int:
+        """How many configs one ``run_many`` call runs at once.
+
+        The experiment service lingers to coalesce queued misses into
+        one batch only when this is above 1.
+        """
+        return self.jobs
 
     def _beat(self, event: str) -> None:
         """Invoke the event hook, swallowing its failures."""
@@ -358,14 +369,18 @@ class ParallelExecutor(Executor):
         default=None, compare=False, repr=False
     )
 
+    @property
+    def workers(self) -> int:
+        """``jobs``, or one worker per CPU when ``jobs`` is 0."""
+        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+
     def run_many(
         self,
         configs: Iterable[ExperimentConfig],
         on_result: Optional[OnResult] = None,
     ) -> List[ExperimentOutcome]:
         configs = list(configs)
-        jobs = self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
-        workers = min(jobs, len(configs))
+        workers = min(self.workers, len(configs))
         if workers <= 1:
             # Nothing to overlap; run serially but keep the hardening
             # (process isolation means a crashing config still cannot

@@ -12,7 +12,7 @@ schema):
 * ``GET /v1/stats`` -- service counters (tiers, dedup, queue, latency);
 * ``GET /v1/metrics`` -- the raw
   :class:`~repro.obs.metrics.MetricsRegistry` dump plus p50/p95
-  quantiles of the latency histogram;
+  quantiles of the latency, queue-wait and executor-time histograms;
 * ``POST /v1/run`` -- one experiment config (JSON body); answers with
   the cache tier that served it, the full result payload (the disk
   cache's lossless dict shape), and a ``summary`` string byte-identical
@@ -138,6 +138,10 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-mnet-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a response goes out as two sends (headers, then
+    #: body), and with Nagle's algorithm on a keep-alive connection the
+    #: body waits for the client's delayed ACK, about 40 ms.
+    disable_nagle_algorithm = True
     #: Idle-read budget: a keep-alive connection whose client went away
     #: closes itself instead of pinning a handler thread through drain
     #: (handler threads are joined on close).  It only bounds reading

@@ -13,9 +13,11 @@ behaviours a shared simulator needs:
   simulation runs and every waiter gets its result (the joiners are
   counted as ``dedup_coalesced``);
 * **request batching** -- cache misses queue up and a dispatcher thread
-  coalesces them (a short linger window, then up to ``batch_max``
-  configs) into one ``Executor.run_many`` call, so a
-  :class:`~repro.harness.executor.ParallelExecutor` overlaps them;
+  hands up to ``batch_max`` of them to one ``Executor.run_many`` call.
+  A serial executor gets the queue at once; for a
+  :class:`~repro.harness.executor.ParallelExecutor` the dispatcher
+  first lingers (up to ``batch_window_s``, less once ``batch_max``
+  misses are queued) so concurrent misses overlap in one batch;
 * **admission control / backpressure** -- at most ``queue_limit``
   simulations may be outstanding (queued + in flight); requests beyond
   that are rejected with :class:`QueueFullError` (HTTP 429) and
@@ -25,8 +27,9 @@ behaviours a shared simulator needs:
   and joins the dispatcher;
 * **observability** -- every counter is mirrored into a
   :class:`~repro.obs.metrics.MetricsRegistry` (``serve.*`` namespace,
-  latency histogram included) and :meth:`ExperimentService.stats`
-  returns the JSON payload the ``/stats`` endpoint serves;
+  with histograms of the request latency, the queue wait and the
+  executor time) and :meth:`ExperimentService.stats` returns the JSON
+  payload the ``/stats`` endpoint serves;
 * **failure containment** -- worker crashes and hangs are contained by
   the executor (pool rebuilds, the ``--timeout`` watchdog);
   per-config-family :class:`~repro.serve.breaker.CircuitBreaker`\\ s
@@ -141,11 +144,14 @@ class ServiceSettings:
 
     ``queue_limit`` bounds *outstanding simulations* (queued plus
     dispatched), not total requests -- cache hits and coalesced
-    duplicates are always admitted.  ``batch_window_s`` is the linger
-    the dispatcher waits after the first queued miss so concurrent
-    misses coalesce into one executor batch of up to ``batch_max``
-    configs.  ``request_timeout_s`` is the default budget
-    :meth:`ExperimentService.execute` waits for a ticket.
+    duplicates are always admitted.  ``batch_max`` caps the configs in
+    one executor batch.  ``batch_window_s`` applies to pools only: the
+    dispatcher of a multi-worker executor waits up to this long after
+    the first queued miss so concurrent misses coalesce into one batch,
+    and stops waiting once ``batch_max`` misses are queued or a drain
+    begins.  A serial executor runs a batch one config after another,
+    so it is handed the queue at once.  ``request_timeout_s`` is the
+    default budget :meth:`ExperimentService.execute` waits for a ticket.
 
     ``degrade`` selects what a saturated queue or open breaker answers
     with (``"off"`` = hard 429/503, ``"analytical"`` = closed-form
@@ -218,6 +224,10 @@ class RequestTicket:
         self.key = key
         self.config = config
         self.submitted_at = time.monotonic()
+        #: When the ticket joined the simulation queue, and when the
+        #: dispatcher took it off (``time.monotonic()``; 0.0 until then).
+        self.queued_at = 0.0
+        self.dispatched_at = 0.0
         self.waiters = 1
         self.tier: Optional[str] = None
         self.result: Optional[ExperimentResult] = None
@@ -299,6 +309,14 @@ class ExperimentService:
         self._latencies_ms: Deque[float] = deque(maxlen=2048)
         self._latency_hist = self.registry.histogram(
             "serve.latency_ms", LATENCY_EDGES_MS
+        )
+        #: Stage histograms: queued -> taken into a batch, and taken ->
+        #: outcome handed back by the executor.
+        self._queue_wait_hist = self.registry.histogram(
+            "serve.queue_wait_ms", LATENCY_EDGES_MS
+        )
+        self._executor_hist = self.registry.histogram(
+            "serve.executor_ms", LATENCY_EDGES_MS
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -450,6 +468,9 @@ class ExperimentService:
                 )
             else:
                 ticket.breaker_probe = decision.probe
+                # The notify_all above wakes the dispatcher once this
+                # block releases the condition.
+                ticket.queued_at = time.monotonic()
                 self._queue.append(ticket)
                 self._publish_queue_locked()
                 return ticket
@@ -519,6 +540,12 @@ class ExperimentService:
     def _dispatch_loop(self) -> None:
         """Dispatcher thread body: coalesce queued misses into batches.
 
+        With a serial executor a batch is everything queued (up to
+        ``batch_max``) the moment the first miss arrives.  With a pool
+        the dispatcher first lingers up to ``batch_window_s`` on the
+        condition, ending early once ``batch_max`` misses are queued or
+        a drain begins; every append to the queue notifies it.
+
         Returns once draining with nothing queued or being admitted.
         Anything that escapes a batch (``SystemExit`` and the like; the
         batch contains ordinary exceptions) ends the thread: the
@@ -526,6 +553,9 @@ class ExperimentService:
         never run resolves as a failure.
         """
         settings = self.settings
+        # A serial executor runs a batch one config after another, so
+        # waiting for more misses to join cannot finish any sooner.
+        linger_s = settings.batch_window_s if self.executor.workers > 1 else 0.0
         batch: List[RequestTicket] = []
         try:
             while True:
@@ -536,12 +566,20 @@ class ExperimentService:
                     )
                     if not self._queue:
                         return
-                if settings.batch_window_s > 0 and not self._draining:
-                    # Linger so concurrent misses coalesce into one batch.
-                    time.sleep(settings.batch_window_s)
-                with self._cond:
+                    if linger_s > 0:
+                        self._cond.wait_for(
+                            lambda: len(self._queue) >= settings.batch_max
+                            or self._draining,
+                            linger_s,
+                        )
                     size = min(len(self._queue), settings.batch_max)
                     batch = [self._queue.popleft() for _ in range(size)]
+                    now = time.monotonic()
+                    for ticket in batch:
+                        ticket.dispatched_at = now
+                        self._queue_wait_hist.observe(
+                            (now - ticket.queued_at) * 1000.0
+                        )
                     self._in_flight += len(batch)
                     self._bump("serve.batches")
                     self._publish_queue_locked()
@@ -587,6 +625,7 @@ class ExperimentService:
         """
         from repro.serve.breaker import config_family
 
+        executor_ms = (time.monotonic() - ticket.dispatched_at) * 1000.0
         failed = isinstance(outcome, FailedResult)
         write_failed = False
         try:
@@ -607,6 +646,7 @@ class ExperimentService:
                 flush=True,
             )
         with self._cond:
+            self._executor_hist.observe(executor_ms)
             if write_failed:
                 self._bump("serve.write_errors")
             if not failed:
@@ -701,17 +741,20 @@ class ExperimentService:
 
     def metrics(self) -> Dict:
         """The ``/metrics`` payload: the registry dump plus p50/p95 of
-        the latency histogram, snapshotted under the service condition."""
+        the request latency, queue wait and executor time histograms,
+        snapshotted under the service condition."""
         with self._cond:
             self.registry.state_gauge(
                 "serve.supervisor.state", SERVICE_STATES
             ).set_state(self._state_locked()[0])
             payload = self.registry.as_dict()
             payload["quantiles"] = {
-                "serve.latency_ms": {
-                    "p50": self._latency_hist.quantile(0.50),
-                    "p95": self._latency_hist.quantile(0.95),
-                }
+                hist.name: {"p50": hist.quantile(0.50), "p95": hist.quantile(0.95)}
+                for hist in (
+                    self._latency_hist,
+                    self._queue_wait_hist,
+                    self._executor_hist,
+                )
             }
         return payload
 

@@ -41,6 +41,15 @@ class TestFactory:
         assert isinstance(ex, ParallelExecutor)
         assert ex.jobs == 4
 
+    def test_workers_resolves_jobs(self):
+        import os
+
+        assert make_executor(1).workers == 1
+        assert make_executor(4).workers == 4
+        assert ParallelExecutor(jobs=3).workers == 3
+        # jobs=0 is one worker per CPU, resolved where run_many sizes its pool.
+        assert ParallelExecutor().workers == (os.cpu_count() or 1)
+
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Executor().run_many([])

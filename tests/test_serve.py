@@ -89,6 +89,12 @@ class GateExecutor(Executor):
         return out
 
 
+class PoolGateExecutor(GateExecutor):
+    """A GateExecutor that reports two workers, as a process pool would."""
+
+    jobs = 2
+
+
 def make_service(tmp_path=None, executor=None, **settings) -> ExperimentService:
     settings.setdefault("batch_window_s", 0.005)
     return ExperimentService(
@@ -246,7 +252,7 @@ class TestTiering:
 
 class TestBatching:
     def test_queued_misses_coalesce_into_one_executor_batch(self, cfg):
-        executor = GateExecutor(hold=True)
+        executor = PoolGateExecutor(hold=True)
         service = make_service(executor=executor, batch_window_s=0.05)
         tickets = [service.submit(cfg.replace(seed=i)) for i in range(4)]
         executor.gate.set()
@@ -267,6 +273,39 @@ class TestBatching:
         for t in tickets:
             assert t.wait(10)
         assert max(executor.batches) <= 2
+        assert service.drain(timeout=5)
+
+    def test_serial_executor_dispatches_without_the_window(self, cfg):
+        """One worker runs a batch config by config, so the dispatcher
+        takes a lone miss at once instead of lingering for company."""
+        executor = GateExecutor()
+        service = make_service(executor=executor, batch_window_s=5.0)
+        ticket = service.execute(cfg, timeout=2)
+        assert ticket.tier == "simulated" and executor.batches == [1]
+        metrics = service.metrics()
+        assert metrics["quantiles"]["serve.queue_wait_ms"]["p95"] < 5000.0
+        assert metrics["histograms"]["serve.queue_wait_ms"]["total"] == 1
+        assert metrics["histograms"]["serve.executor_ms"]["total"] == 1
+        assert service.drain(timeout=5)
+
+    def test_pool_linger_ends_once_batch_max_is_queued(self, cfg):
+        executor = PoolGateExecutor()
+        service = make_service(executor=executor, batch_max=2,
+                               batch_window_s=5.0)
+        start = time.monotonic()
+        tickets = [service.submit(cfg.replace(seed=i)) for i in (1, 2)]
+        assert all(t.wait(2) for t in tickets)
+        assert time.monotonic() - start < 2.5
+        assert executor.batches == [2]
+        assert service.drain(timeout=5)
+
+    def test_pool_linger_ends_when_drain_begins(self, cfg):
+        executor = PoolGateExecutor()
+        service = make_service(executor=executor, batch_window_s=5.0)
+        ticket = service.submit(cfg)
+        time.sleep(0.2)  # the dispatcher is lingering by now
+        service.begin_drain()
+        assert ticket.wait(2) and ticket.result is not None
         assert service.drain(timeout=5)
 
 
@@ -527,8 +566,32 @@ class TestHttpApi:
         assert stats["executor"]["kind"] == "GateExecutor"
         status, _, metrics = http_request(base + "/metrics")
         assert status == 200
-        assert "serve.latency_ms" in metrics["quantiles"]
-        assert {"p50", "p95"} <= set(metrics["quantiles"]["serve.latency_ms"])
+        for name in ("serve.latency_ms", "serve.queue_wait_ms",
+                     "serve.executor_ms"):
+            assert {"p50", "p95"} <= set(metrics["quantiles"][name])
+            assert name in metrics["histograms"]
+
+    def test_keep_alive_round_trip_skips_the_delayed_ack(self, http_server):
+        """Requests on one keep-alive connection answer well inside the
+        client's 40 ms delayed-ACK timer, which a body held back by
+        Nagle's algorithm would wait out."""
+        import http.client
+        import statistics
+
+        base, _, _ = http_server
+        conn = http.client.HTTPConnection(base[len("http://"):], timeout=10)
+        elapsed = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/v1/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                elapsed.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.02
 
     def test_run_round_trip_summary_and_payload(self, http_server):
         base, service, _ = http_server
