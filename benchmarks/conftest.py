@@ -3,7 +3,7 @@
 A single session-scoped :class:`SweepRunner` caches every simulation so
 runs shared between figures (full-power baselines, the unaware grid)
 simulate exactly once per pytest session.  It is additionally backed by
-the shared persistent :class:`DiskCache`, so baselines survive *across*
+the shared persistent JSON result store, so baselines survive *across*
 sessions -- re-running the suite (or mixing it with ``repro-mnet
 figure`` invocations) only simulates what the cache has never seen.
 
@@ -29,10 +29,10 @@ import pathlib
 
 import pytest
 
-from repro.harness.diskcache import DiskCache
 from repro.harness.executor import make_executor
 from repro.harness.figures import RunSettings
 from repro.harness.sweep import SweepRunner
+from repro.store import make_store
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -41,7 +41,7 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 def runner() -> SweepRunner:
     disk = None
     if os.environ.get("REPRO_BENCH_NO_CACHE", "0") != "1":
-        disk = DiskCache()  # $REPRO_CACHE_DIR or ~/.cache/repro-mnet
+        disk = make_store("json")  # $REPRO_CACHE_DIR or ~/.cache/repro-mnet
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     return SweepRunner(executor=make_executor(jobs), disk_cache=disk)
 

@@ -1,7 +1,6 @@
 """Experiment harness: runners, sweeps, metrics, figure reproduction."""
 
 from repro.harness.builder import Simulation, SimulationBuilder, build_network
-from repro.harness.diskcache import DiskCache, SCHEMA_VERSION, default_cache_dir
 from repro.harness.executor import (
     Executor,
     ExperimentOutcome,
@@ -72,9 +71,6 @@ __all__ = [
     "ExperimentOutcome",
     "ExperimentFailedError",
     "SweepJournal",
-    "DiskCache",
-    "SCHEMA_VERSION",
-    "default_cache_dir",
     "channel_utilization",
     "avg_link_utilization",
     "avg_modules_traversed",

@@ -6,11 +6,9 @@ aware against unaware on identical grids).  :class:`SweepRunner` caches
 :class:`ExperimentResult` objects by
 :meth:`~repro.harness.experiment.ExperimentConfig.cache_key` in two
 layers -- an in-process dict and an optional persistent disk tier
-shared across invocations (a classic
-:class:`~repro.harness.diskcache.DiskCache` or any
-:class:`~repro.store.base.ResultStore` backend; store backends answer
-a whole chunk's probe with one ``get_many`` batch) --
-and delegates cache misses to an
+shared across invocations (any :class:`~repro.store.base.ResultStore`
+backend, which answers a whole chunk's probe with one ``get_many``
+batch) -- and delegates cache misses to an
 :class:`~repro.harness.executor.Executor` (serial by default; pass a
 :class:`~repro.harness.executor.ParallelExecutor` to fan batches out
 over a process pool).
@@ -38,7 +36,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.harness.diskcache import DiskCache
 from repro.harness.executor import (
     Executor,
     ExperimentOutcome,
@@ -48,6 +45,7 @@ from repro.harness.executor import (
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.harness.journal import SweepJournal
 from repro.harness.metrics import performance_degradation
+from repro.store.base import ResultStore
 
 __all__ = ["SweepRunner", "ExperimentFailedError", "grid_configs"]
 
@@ -108,7 +106,7 @@ class SweepRunner:
     """
 
     executor: Executor = field(default_factory=SerialExecutor)
-    disk_cache: Optional[DiskCache] = None
+    disk_cache: Optional[ResultStore] = None
     journal: Optional[SweepJournal] = None
     cache: Dict[str, ExperimentResult] = field(default_factory=dict)
     failures: Dict[str, FailedResult] = field(default_factory=dict)
@@ -162,30 +160,6 @@ class SweepRunner:
             self.journal.record_done(key, result)
         self.runs += 1
         self.sim_wall_time_s += result.wall_time_s
-
-    def _disk_probe(
-        self, pending: Dict[str, ExperimentConfig]
-    ) -> Dict[str, ExperimentResult]:
-        """Probe the disk tier for a whole sweep chunk at once.
-
-        A :class:`~repro.store.base.ResultStore` backend answers the
-        chunk with one ``get_many`` call (one query for the SQLite
-        backend, instead of N stat/open/parse round-trips); a plain
-        :class:`DiskCache` falls back to the per-key loop.  Hit/miss
-        counters are identical either way.
-        """
-        assert self.disk_cache is not None
-        if not pending:
-            return {}
-        bulk = getattr(self.disk_cache, "get_many", None)
-        if bulk is not None:
-            return bulk(pending.values())
-        found: Dict[str, ExperimentResult] = {}
-        for key, config in pending.items():
-            result = self.disk_cache.get(config)
-            if result is not None:
-                found[key] = result
-        return found
 
     def _record_failure(
         self, config: ExperimentConfig, failure: FailedResult
@@ -284,7 +258,11 @@ class SweepRunner:
                 config.collect_link_hours and not previous.collect_link_hours
             ):
                 pending[key] = config
-        found = self._disk_probe(pending) if self.disk_cache is not None else {}
+        found: Dict[str, ExperimentResult] = {}
+        if self.disk_cache is not None and pending:
+            # The whole chunk in one probe: one query on the SQLite
+            # backend instead of N stat/open/parse round-trips.
+            found = self.disk_cache.get_many(pending.values())
         missing: List[ExperimentConfig] = []
         for key, config in pending.items():
             result = found.get(key)

@@ -3,7 +3,7 @@
 :class:`ExperimentService` answers experiment requests through a tiered
 path -- in-memory :class:`~repro.serve.lru.LruResultCache` (keyed by
 :meth:`~repro.harness.experiment.ExperimentConfig.cache_key`), then the
-persistent :class:`~repro.harness.diskcache.DiskCache`, then an actual
+persistent :class:`~repro.store.base.ResultStore`, then an actual
 simulation on the configured
 :class:`~repro.harness.executor.Executor` -- with the serving
 behaviours a shared simulator needs:
@@ -63,7 +63,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.harness.diskcache import DiskCache
 from repro.harness.executor import (
     Executor,
     ExperimentOutcome,
@@ -80,6 +79,7 @@ from repro.serve.degrade import (
     make_degraded_result,
 )
 from repro.serve.lru import LruResultCache
+from repro.store.base import ResultStore
 
 __all__ = [
     "AdmissionError",
@@ -92,8 +92,11 @@ __all__ = [
     "SERVICE_STATES",
 ]
 
-#: Latency histogram bucket edges (milliseconds).
+#: Latency histogram bucket edges (milliseconds).  The sub-millisecond
+#: edges resolve memory-tier answers and an immediate dispatch, which
+#: would otherwise all read as 1 ms.
 LATENCY_EDGES_MS = (
+    0.05, 0.1, 0.25, 0.5,
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
     1000.0, 2500.0, 5000.0, 10000.0, 30000.0, 120000.0,
 )
@@ -263,7 +266,7 @@ class ExperimentService:
     def __init__(
         self,
         executor: Optional[Executor] = None,
-        disk_cache: Optional[DiskCache] = None,
+        disk_cache: Optional[ResultStore] = None,
         settings: Optional[ServiceSettings] = None,
         journal: Optional[SweepJournal] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -840,20 +843,14 @@ class ExperimentService:
             },
         )
         if self.disk_cache is not None:
+            snapshot = self.disk_cache.stats()
             stats["disk_cache"] = {
-                "hits": self.disk_cache.hits,
-                "misses": self.disk_cache.misses,
-                "writes": self.disk_cache.writes,
-                "quarantined": self.disk_cache.quarantined,
+                key: snapshot[key]
+                for key in (
+                    "hits", "misses", "writes", "quarantined",
+                    "backend", "path", "entries", "size_bytes",
+                )
             }
-            # ResultStore backends identify themselves; a bare DiskCache
-            # (no stats()) keeps the historical four-counter payload.
-            backend_stats = getattr(self.disk_cache, "stats", None)
-            if backend_stats is not None:
-                snapshot = backend_stats()
-                for key in ("backend", "path", "entries", "size_bytes"):
-                    if key in snapshot:
-                        stats["disk_cache"][key] = snapshot[key]
         if self.journal is not None:
             stats["journal"] = {
                 "path": str(self.journal.path),

@@ -4,8 +4,9 @@ Every cached :class:`~repro.harness.experiment.ExperimentResult` lives
 behind the :class:`~repro.store.base.ResultStore` protocol, keyed by
 ``ExperimentConfig.cache_key()``:
 
-- :class:`~repro.store.jsondir.JsonDirStore` -- the historical
-  one-JSON-file-per-result DiskCache layout, fully back-compatible;
+- :class:`~repro.store.jsondir.JsonDirStore` -- one JSON file per
+  result under a schema-tagged directory (the historical ``DiskCache``
+  layout and name);
 - :class:`~repro.store.sqlite.SqliteStore` -- a single WAL-mode SQLite
   file whose ``get_many`` answers a whole sweep chunk with one query.
 
@@ -13,7 +14,7 @@ behind the :class:`~repro.store.base.ResultStore` protocol, keyed by
 backend rooted at a cache directory; ``migrate_json_to_sqlite``
 converts an existing JSON cache into a SQLite file with count and
 byte-equality verification.  Both backends serve bit-identical results
-and keep the DiskCache hit/miss/write/quarantine counter contract.
+and keep one hit/miss/write/quarantine counter contract.
 """
 
 from __future__ import annotations
@@ -21,8 +22,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.harness.diskcache import SCHEMA_VERSION, default_cache_dir
-from repro.store.base import ResultStore, store_schema_tag
+from repro.store.base import (
+    SCHEMA_VERSION,
+    ResultStore,
+    default_cache_dir,
+    store_schema_tag,
+)
 from repro.store.jsondir import JsonDirStore
 from repro.store.migrate import MigrationReport, migrate_json_to_sqlite
 from repro.store.sqlite import DEFAULT_SQLITE_FILENAME, SqliteStore
@@ -38,6 +43,7 @@ __all__ = [
     "STORE_BACKENDS",
     "DEFAULT_SQLITE_FILENAME",
     "SCHEMA_VERSION",
+    "default_cache_dir",
 ]
 
 #: Backend names accepted by ``make_store`` and the CLI ``--store`` flag.
@@ -49,7 +55,7 @@ def make_store(
 ) -> ResultStore:
     """Construct a result store rooted at a cache directory.
 
-    ``backend`` is ``"json"`` (DiskCache-layout directory of JSON
+    ``backend`` is ``"json"`` (a schema-tagged directory of JSON
     files) or ``"sqlite"`` (one ``results.sqlite`` file inside the
     root; passing a path that already ends in ``.sqlite`` uses that
     file directly).  ``root`` defaults to the usual cache directory

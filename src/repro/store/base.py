@@ -11,11 +11,12 @@ deliberately the superset of what the three consumers need:
 - the CLI ``store`` subcommands drive ``stats`` and ``compact`` and
   the JSON->SQLite migration helper.
 
-Every backend is *schema-version aware*: entries are tagged with the
-same ``v<SCHEMA_VERSION>-<repro.__version__>`` string the historical
-:class:`~repro.harness.diskcache.DiskCache` used for its directory
-name, and an entry written under any other tag is a miss (never a
-stale hit, never an error).  Backends also share the DiskCache counter
+Every backend is *schema-version aware*: entries are tagged with
+:func:`store_schema_tag` (``v<SCHEMA_VERSION>-<repro.__version__>``,
+the JSON layout's directory name), and an entry written under any
+other tag is a miss (never a stale hit, never an error).  Every
+backend persists the same :func:`store_entry` dict, so entries migrate
+between backends byte-comparably.  Backends also share one counter
 contract -- ``hits``/``misses``/``writes``/``quarantined`` attributes,
 exact under concurrent access -- because the serve stats payload and
 the CLI cache summary read those attributes directly.
@@ -23,24 +24,56 @@ the CLI cache summary read those attributes directly.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
 
-from repro.harness.diskcache import SCHEMA_VERSION
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
+from repro.harness.io import result_to_cache_dict
 
-__all__ = ["ResultStore", "store_schema_tag", "SCHEMA_VERSION"]
+__all__ = [
+    "ResultStore",
+    "store_schema_tag",
+    "store_entry",
+    "SCHEMA_VERSION",
+    "default_cache_dir",
+]
+
+#: Bump when the cache-dict layout changes incompatibly.
+#: v2: ``mechanism_overrides`` joined the config payload (omitted when
+#: empty) and flat result rows gained the column; entries written under
+#: v1 are silently treated as misses, never as stale hits.
+SCHEMA_VERSION = 2
+
+
+def default_cache_dir() -> Path:
+    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro-mnet``."""
+    env = os.environ.get("REPRO_CACHE_DIR")
+    if env:
+        return Path(env).expanduser()
+    return Path("~/.cache/repro-mnet").expanduser()
 
 
 def store_schema_tag() -> str:
     """The active entry tag: ``v<SCHEMA_VERSION>-<repro.__version__>``.
 
     Shared by every backend so a schema or package-version bump
-    invalidates all stale entries at once, exactly as the original
-    DiskCache directory naming did.
+    invalidates all stale entries at once.
     """
     import repro  # deferred: repro.__init__ imports the store facade
 
     return f"v{SCHEMA_VERSION}-{repro.__version__}"
+
+
+def store_entry(
+    tag: str, key: str, result: ExperimentResult
+) -> Dict[str, object]:
+    """The ``{"schema", "key", "result"}`` entry every backend persists.
+
+    The key order is part of the JSON layout: entry files are written
+    in insertion order, so it must stay ``schema, key, result``.
+    """
+    return {"schema": tag, "key": key, "result": result_to_cache_dict(result)}
 
 
 @runtime_checkable

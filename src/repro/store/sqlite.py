@@ -7,7 +7,7 @@ parse round-trips -- the point of the store layer (see
 
 - ``results(key PRIMARY KEY, schema, payload, created_unix)`` where
   ``payload`` is the zlib-compressed canonical JSON of exactly the
-  dict a :class:`~repro.harness.diskcache.DiskCache` file would hold
+  :func:`~repro.store.base.store_entry` dict a JSON-store file holds
   (``{"schema": tag, "key": key, "result": cache-dict}``), so entries
   migrate between backends byte-comparably;
 - ``quarantine`` mirrors the JSON layout's ``quarantine/`` directory:
@@ -20,7 +20,7 @@ while serve dispatcher threads write theirs, or two CLI processes
 racing on one file -- serialize safely instead of corrupting.  Each
 thread gets its own connection (sqlite3 connections are not shareable
 across threads); the hit/miss/write/quarantine counters are guarded by
-a lock so they stay exact, matching the DiskCache contract.
+a lock so they stay exact, matching the JSON store's contract.
 
 Schema awareness: rows store the same ``v<schema>-<version>`` tag the
 JSON layout used as its directory name.  A row written under any other
@@ -39,8 +39,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
-from repro.harness.io import result_from_cache_dict, result_to_cache_dict
-from repro.store.base import distinct_configs, store_schema_tag
+from repro.harness.io import result_from_cache_dict
+from repro.store.base import distinct_configs, store_entry, store_schema_tag
 
 __all__ = ["SqliteStore", "DEFAULT_SQLITE_FILENAME"]
 
@@ -208,11 +208,7 @@ class SqliteStore:
         rows: List[Tuple[str, str, bytes, float]] = []
         for config, result in items:
             key = config.cache_key()
-            payload = {
-                "schema": tag,
-                "key": key,
-                "result": result_to_cache_dict(result),
-            }
+            payload = store_entry(tag, key, result)
             rows.append((key, tag, _encode_payload(payload), time.time()))
         if not rows:
             return 0
@@ -222,7 +218,7 @@ class SqliteStore:
     def put_payload(self, key: str, payload: Dict[str, object]) -> None:
         """Upsert a pre-serialized cache payload dict (migration path).
 
-        ``payload`` must be the exact shape a DiskCache file holds --
+        ``payload`` must be the exact shape a JSON-store file holds --
         ``{"schema": tag, "key": key, "result": cache-dict}`` -- and is
         stored verbatim, so migrated entries stay byte-comparable with
         their JSON-directory source.

@@ -8,10 +8,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.harness import diskcache as dc
 from repro.harness.diskcache import DiskCache, default_cache_dir
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.sweep import SweepRunner, grid_configs
+from repro.store import base as store_base
 
 FAST = dict(window_ns=40_000.0, epoch_ns=15_000.0)
 
@@ -65,7 +65,7 @@ class TestDiskCache:
     def test_schema_bump_invalidates(self, tmp_path, cfg, monkeypatch):
         cache = DiskCache(tmp_path)
         cache.put(cfg, SweepRunner().run(cfg))
-        monkeypatch.setattr(dc, "SCHEMA_VERSION", dc.SCHEMA_VERSION + 1)
+        monkeypatch.setattr(store_base, "SCHEMA_VERSION", store_base.SCHEMA_VERSION + 1)
         fresh = DiskCache(tmp_path)
         assert fresh.get(cfg) is None
         assert len(fresh) == 0
@@ -74,11 +74,11 @@ class TestDiskCache:
         """Entries written under schema v1 (before mechanism_overrides
         joined the payload) are silently skipped, never read as stale
         hits and never crashed on."""
-        assert dc.SCHEMA_VERSION == 2
-        monkeypatch.setattr(dc, "SCHEMA_VERSION", 1)
+        assert store_base.SCHEMA_VERSION == 2
+        monkeypatch.setattr(store_base, "SCHEMA_VERSION", 1)
         old = DiskCache(tmp_path)
         v1_path = old.put(cfg, SweepRunner().run(cfg))
-        monkeypatch.setattr(dc, "SCHEMA_VERSION", 2)
+        monkeypatch.setattr(store_base, "SCHEMA_VERSION", 2)
         fresh = DiskCache(tmp_path)
         assert fresh.get(cfg) is None
         assert fresh.misses == 1

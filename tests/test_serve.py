@@ -286,6 +286,12 @@ class TestBatching:
         assert metrics["quantiles"]["serve.queue_wait_ms"]["p95"] < 5000.0
         assert metrics["histograms"]["serve.queue_wait_ms"]["total"] == 1
         assert metrics["histograms"]["serve.executor_ms"]["total"] == 1
+        # An immediate dispatch waits well under a millisecond, and the
+        # histogram must be fine enough to show it.
+        for seed in range(2, 22):
+            assert service.execute(cfg.replace(seed=seed), timeout=2).tier == "simulated"
+        quantiles = service.metrics()["quantiles"]["serve.queue_wait_ms"]
+        assert quantiles["p50"] < 1.0
         assert service.drain(timeout=5)
 
     def test_pool_linger_ends_once_batch_max_is_queued(self, cfg):
