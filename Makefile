@@ -26,7 +26,7 @@ serve-smoke:
 store-migrate-smoke:
 	$(PYTHON) scripts/store_migrate_smoke.py
 
-# The CI serve job's chaos step: SIGKILL a pool worker mid-batch,
+# The CI serve job's chaos step: SIGKILL a worker process mid-batch,
 # saturate the queue under --degrade analytical, trip a circuit
 # breaker; see docs/resilience.md.
 selfheal-smoke:

@@ -134,7 +134,7 @@ def scenario_worker_chaos(env) -> None:
     """SIGKILL a pool worker mid-batch; both requests must complete."""
     server, base = start_server(
         ["--jobs", "2", "--queue-limit", "2", "--degrade", "analytical",
-         "--heartbeat-s", "0.2", "--batch-window-ms", "300",
+         "--batch-window-ms", "300",
          "--breaker-threshold", "0"],
         env,
     )
@@ -225,7 +225,7 @@ def scenario_breaker(env) -> None:
     server, base = start_server(
         ["--timeout", "2", "--breaker-threshold", "2",
          "--breaker-cooldown", "300", "--degrade", "analytical",
-         "--heartbeat-s", "0.2", "--batch-window-ms", "10"],
+         "--batch-window-ms", "10"],
         env,
     )
     try:

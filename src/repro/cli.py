@@ -18,8 +18,8 @@ beyond-the-paper comparison of depth-staged mechanism mixes built with
 ``--mech-overrides`` specs).
 
 Simulating subcommands (``run``, ``figure``, ``sweep-alpha``, ``batch``)
-share the execution flags: ``--jobs N`` fans cache misses out over a
-process pool, ``--cache-dir PATH`` relocates the persistent result
+share the execution flags: ``--jobs N`` runs cache misses on N worker
+processes at once, ``--cache-dir PATH`` relocates the persistent result
 cache (default ``~/.cache/repro-mnet``, or ``$REPRO_CACHE_DIR``),
 ``--store json|sqlite`` picks the result-store backend (JSON files per
 result, or one WAL-mode SQLite file with bulk lookups; see
@@ -74,14 +74,22 @@ def _make_store_from_args(args):
         raise SystemExit(f"error: {exc}")
 
 
+def _make_executor_from_args(args):
+    """The executor selected by ``--jobs``/``--timeout``/``--retries``."""
+    try:
+        return make_executor(
+            args.jobs,
+            timeout_s=getattr(args, "timeout", None),
+            retries=getattr(args, "retries", 0),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def _make_runner(args) -> SweepRunner:
     """A SweepRunner honouring the shared execution flags."""
+    executor = _make_executor_from_args(args)
     disk = _make_store_from_args(args)
-    executor = make_executor(
-        args.jobs,
-        timeout_s=getattr(args, "timeout", None),
-        retries=getattr(args, "retries", 0),
-    )
     runner = SweepRunner(executor=executor, disk_cache=disk)
     if getattr(args, "resume", False) and not getattr(args, "journal", None):
         raise SystemExit("error: --resume requires --journal PATH")
@@ -443,10 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds an open breaker waits before admitting a "
              "half-open probe (default: 30)")
     serve_p.add_argument(
-        "--heartbeat-s", type=float, default=None, metavar="SECS",
-        help="deprecated and ignored: accepted so existing launch lines "
-             "still parse, but the value reaches no code")
-    serve_p.add_argument(
         "--verbose", action="store_true",
         help="log one line per HTTP request to stderr")
 
@@ -747,9 +751,8 @@ def _cmd_validate(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.serve import ExperimentService, ServiceSettings, run_server
 
+    executor = _make_executor_from_args(args)
     disk = _make_store_from_args(args)
-    executor = make_executor(args.jobs, timeout_s=args.timeout,
-                             retries=args.retries)
     if args.resume and not args.journal:
         raise SystemExit("error: --resume requires --journal PATH")
     journal = (

@@ -5,13 +5,18 @@ simulation of cache misses to an *executor*.  Two are provided:
 
 * :class:`SerialExecutor` -- runs each config inline, in order (the
   default); with ``timeout_s`` set or ``isolate=True`` each experiment
-  runs in a watched child process instead, so a hung or crashing
+  runs in a watched worker process instead, so a hung or crashing
   simulation cannot take the caller down;
-* :class:`ParallelExecutor` -- fans a batch out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` with per-experiment
-  wall-clock timeouts, worker-crash isolation, bounded retry with
-  backoff, and graceful degradation to isolated serial execution when
-  the pool keeps dying.
+* :class:`ParallelExecutor` -- runs a batch on up to ``jobs`` watched
+  worker processes at once.
+
+Both out-of-process paths share one runner, :func:`_run_in_workers`.
+A worker process is reused for the next config of the same
+``run_many`` call but holds exactly one config at a time, so blame is
+exact: end-of-file on a worker's pipe is a ``crash`` of the config it
+held, and a worker still running past ``timeout_s`` is killed and its
+config recorded as a ``timeout``.  Either way the worker is replaced
+and only that config is re-run.
 
 Failure semantics (the core of the hardening): ``run_many`` **never
 aborts the batch** because one experiment failed.  Each failing config
@@ -26,22 +31,23 @@ Determinism: the simulation engine is seed-deterministic and every
 experiment is independent, so serial and parallel execution produce
 bit-identical results for the same batch, *including* retried configs
 (a retry re-runs the same deterministic simulation).  Results are
-mapped back to configs **by submission index**, never by pool
-completion order (``tests/test_executor.py`` pins this).
+mapped back to configs **by submission index**, never by completion
+order (``tests/test_executor.py`` pins this).
 
 Thread safety: both executors are frozen dataclasses whose
-``run_many`` keeps all mutable state in locals (the parallel backend
-builds a fresh process pool per call), so one executor instance may be
-shared by concurrent threads -- the experiment service's batch
-dispatcher relies on this.
+``run_many`` keeps all mutable state in locals (worker processes live
+for one call), so one executor instance may be shared by concurrent
+threads -- the experiment service's batch dispatcher relies on this.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Set, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
 
@@ -66,7 +72,7 @@ class FailedResult:
       would fail identically, so it never burns retry attempts);
     * ``"crash"`` -- the worker process died (segfault, OOM-kill, ...);
     * ``"timeout"`` -- the experiment exceeded the wall-clock budget
-      and the watchdog reclaimed the worker.
+      and the watchdog killed the worker.
     """
 
     config: ExperimentConfig
@@ -99,28 +105,19 @@ ExperimentOutcome = Union[ExperimentResult, FailedResult]
 #: mid-batch.
 OnResult = Callable[[int, ExperimentConfig, ExperimentOutcome], None]
 
-#: Watchdog poll interval while timeouts are armed (seconds).
-_WATCHDOG_TICK_S = 0.05
-
-#: Executor event hook signature: receives ``"worker_restart"`` (a
-#: dead or hung isolated child is being replaced) or ``"pool_rebuild"``
-#: (a broken or poisoned worker pool is being rebuilt).  Hooks are
-#: called from executor internals and must be cheap; exceptions they
-#: raise are swallowed.
+#: Executor event hook signature: receives ``"worker_restart"`` each
+#: time a dead or hung worker process is replaced to re-run its config.
+#: Hooks are called from executor internals and must be cheap;
+#: exceptions they raise are swallowed.
 HeartbeatHook = Callable[[str], None]
 
 
-def _failed_from_exception(
-    config: ExperimentConfig, exc: BaseException, attempts: int,
-    wall_time_s: float = 0.0,
-) -> FailedResult:
-    return FailedResult(
-        config=config,
-        error_type="error",
-        message=f"{type(exc).__name__}: {exc}",
-        attempts=attempts,
-        wall_time_s=wall_time_s,
-    )
+def _check_hardening(timeout_s: Optional[float], retries: int) -> None:
+    """Reject budgets the worker runner cannot honour."""
+    if timeout_s is not None and not timeout_s > 0:
+        raise ValueError(f"timeout must be > 0 seconds, got {timeout_s:g}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
 
 
 class Executor:
@@ -133,7 +130,7 @@ class Executor:
 
     #: Optional event hook (see :data:`HeartbeatHook`); the experiment
     #: service installs one via :func:`with_heartbeat` to count worker
-    #: restarts and pool rebuilds.
+    #: restarts.
     heartbeat: Optional[HeartbeatHook] = None
 
     @property
@@ -187,89 +184,154 @@ class Executor:
 
 
 # ----------------------------------------------------------------------
-# Isolated single-experiment execution (shared by both executors)
+# Worker processes (shared by both executors)
 # ----------------------------------------------------------------------
-def _isolated_child(conn, config: ExperimentConfig) -> None:
-    """Child-process body: run one experiment, ship the outcome back."""
+#: Held while a worker's pipe is made, the worker forked and the
+#: worker's end closed in the parent.  A process forked in between --
+#: by another thread sharing an executor -- would inherit that end and
+#: hold it open, so the worker's death would not read as end-of-file
+#: until that other process exited.
+_FORK_LOCK = threading.Lock()
+
+
+def _worker_main(conn) -> None:
+    """Worker-process body: run each config the parent sends and reply
+    with its outcome, until the parent sends ``None``."""
     try:
-        result = run_experiment(config)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - must not escape the child
-        try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
+        for config in iter(conn.recv, None):
+            try:
+                reply = ("ok", run_experiment(config))
+            except Exception as exc:  # noqa: BLE001 - reported to the parent
+                reply = ("err", f"{type(exc).__name__}: {exc}")
+            conn.send(reply)
+    except EOFError:
+        pass  # the parent is gone; nobody is waiting for a reply
 
 
-def _run_isolated(
-    config: ExperimentConfig, timeout_s: Optional[float], attempts: int
-) -> ExperimentOutcome:
-    """Run one experiment in a watched child process.
+def _run_in_workers(
+    configs: List[ExperimentConfig],
+    workers: int,
+    timeout_s: Optional[float],
+    retries: int,
+    crash_retries: int,
+    backoff_s: float,
+    beat: HeartbeatHook,
+    on_result: Optional[OnResult] = None,
+) -> List[ExperimentOutcome]:
+    """Run ``configs`` on up to ``workers`` reused worker processes.
 
-    The child is daemonic (killed with the parent) and the parent waits
-    on the result pipe with the timeout as its watchdog: a child that
-    hangs past the budget -- or dies without reporting -- is killed and
-    recorded as a structured failure instead of wedging the caller.
+    The calling thread starts every worker and waits on all of their
+    pipes at once.  A worker holds one config at a time; end-of-file on
+    its pipe is a ``crash`` of that config and a worker running past
+    ``timeout_s`` is killed as a ``timeout``.  Only that config is then
+    re-run, after ``backoff_s * attempts`` -- up to ``crash_retries`` or
+    ``retries`` times respectively, with one ``beat("worker_restart")``
+    per re-run -- while the rest of the batch carries on.  An ``error``
+    (the simulation raised) is final.  ``on_result`` fires on the
+    calling thread as each outcome is final.
     """
     import multiprocessing as mp
+    from multiprocessing.connection import wait
 
-    start = time.perf_counter()
+    # The platform's default start method, fork on Linux: a forked worker
+    # starts without re-importing the simulator, which spawn would do
+    # for every worker of every batch.
     ctx = mp.get_context()
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_isolated_child, args=(send, config), daemon=True)
-    proc.start()
-    send.close()
-    payload = None
-    timed_out = False
-    try:
-        if recv.poll(timeout_s):
-            payload = recv.recv()
+    results: List[Optional[ExperimentOutcome]] = [None] * len(configs)
+    attempts = [0] * len(configs)
+    # (not before, index): every config is due at once, in input order;
+    # a re-run waits out its backoff.
+    queue: List[Tuple[float, int]] = [(0.0, index) for index in range(len(configs))]
+    idle: list = []  # (process, parent end) with no config
+    busy: dict = {}  # parent end -> (process, index, started)
+
+    def start_worker():
+        with _FORK_LOCK:
+            conn, child_end = ctx.Pipe()
+            proc = ctx.Process(target=_worker_main, args=(child_end,), daemon=True)
+            proc.start()
+            child_end.close()
+        return proc, conn
+
+    def finish(index: int, outcome: ExperimentOutcome) -> None:
+        results[index] = outcome
+        if on_result is not None:
+            on_result(index, configs[index], outcome)
+
+    def lost(index: int, error_type: str, message: str, wall: float,
+             budget: int) -> None:
+        if attempts[index] <= budget:
+            beat("worker_restart")
+            heapq.heappush(
+                queue, (time.monotonic() + backoff_s * attempts[index], index)
+            )
         else:
-            # poll() returning False is the *only* timeout signal; a
-            # dying child closes the pipe, which makes poll() return
-            # True and recv() raise EOFError (the crash path below).
-            timed_out = True
-    except (EOFError, OSError):
-        payload = None
-    wall = time.perf_counter() - start
-    if timed_out:
-        proc.kill()
-        proc.join()
-        recv.close()
-        return FailedResult(
-            config=config,
-            error_type="timeout",
-            message=(
-                f"exceeded {timeout_s:g}s wall clock; "
-                "watchdog killed the worker"
-            ),
-            attempts=attempts,
-            wall_time_s=wall,
-        )
-    if payload is None:
-        proc.join()
-        recv.close()
-        return FailedResult(
-            config=config,
-            error_type="crash",
-            message=f"worker process died (exit code {proc.exitcode})",
-            attempts=attempts,
-            wall_time_s=wall,
-        )
-    proc.join()
-    recv.close()
-    kind, value = payload
-    if kind == "ok":
-        return value
-    return FailedResult(
-        config=config,
-        error_type="error",
-        message=value,
-        attempts=attempts,
-        wall_time_s=wall,
-    )
+            finish(index, FailedResult(
+                config=configs[index], error_type=error_type, message=message,
+                attempts=attempts[index], wall_time_s=wall,
+            ))
+
+    try:
+        while queue or busy:
+            now = time.monotonic()
+            while queue and queue[0][0] <= now and len(busy) < workers:
+                index = heapq.heappop(queue)[1]
+                proc, conn = idle.pop() if idle else start_worker()
+                attempts[index] += 1
+                try:
+                    conn.send(configs[index])
+                except OSError:
+                    pass  # it died idle: its end-of-file below is the crash
+                busy[conn] = (proc, index, now)
+            wakeups = [queue[0][0]] if queue and len(busy) < workers else []
+            if timeout_s is not None:
+                wakeups += [started + timeout_s for _, _, started in busy.values()]
+            wait_s = max(0.0, min(wakeups) - now) if wakeups else None
+            for conn in wait(list(busy), wait_s):
+                proc, index, started = busy.pop(conn)
+                wall = time.monotonic() - started
+                try:
+                    kind, value = conn.recv()
+                except (EOFError, OSError):
+                    proc.join()
+                    conn.close()
+                    lost(index, "crash",
+                         f"worker process died (exit code {proc.exitcode})",
+                         wall, crash_retries)
+                    continue
+                idle.append((proc, conn))
+                finish(index, value if kind == "ok" else FailedResult(
+                    config=configs[index], error_type="error", message=value,
+                    attempts=attempts[index], wall_time_s=wall,
+                ))
+            if timeout_s is None:
+                continue
+            now = time.monotonic()
+            for conn, (proc, index, started) in list(busy.items()):
+                if now - started >= timeout_s:
+                    del busy[conn]
+                    proc.kill()
+                    proc.join()
+                    conn.close()
+                    lost(index, "timeout",
+                         f"exceeded {timeout_s:g}s wall clock; "
+                         "watchdog killed the worker",
+                         now - started, retries)
+    finally:
+        # Busy workers are only left when run_many exits by exception.
+        # Idle ones get an explicit stop: closing the parent's end is
+        # not enough, because workers forked later hold copies of it.
+        for proc, _, _ in busy.values():
+            proc.kill()
+        for _, conn in idle:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # already dead; join reaps it
+        for proc, conn in idle + [(p, c) for c, (p, _, _) in busy.items()]:
+            proc.join()
+            conn.close()
+    return [outcome for outcome in results if outcome is not None]
 
 
 @dataclass(frozen=True)
@@ -279,8 +341,8 @@ class SerialExecutor(Executor):
     By default experiments run inline and a raising simulation becomes
     an ``error`` :class:`FailedResult` (the batch continues).  With
     ``timeout_s`` set or ``isolate=True``, each experiment instead runs
-    in its own watched child process, which additionally survives
-    worker crashes and hangs; ``retries`` then re-attempts ``crash`` /
+    in a watched worker process of its own, which additionally survives
+    crashes and hangs; ``retries`` then re-attempts ``crash`` /
     ``timeout`` failures (``error`` failures are deterministic and are
     never retried).
     """
@@ -293,6 +355,9 @@ class SerialExecutor(Executor):
     heartbeat: Optional[HeartbeatHook] = field(
         default=None, compare=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        _check_hardening(self.timeout_s, self.retries)
 
     def run_many(
         self,
@@ -308,57 +373,42 @@ class SerialExecutor(Executor):
         return out
 
     def _run_one(self, config: ExperimentConfig) -> ExperimentOutcome:
-        isolated = self.isolate or self.timeout_s is not None
-        attempts = 0
-        while True:
-            attempts += 1
-            if isolated:
-                outcome = _run_isolated(config, self.timeout_s, attempts)
-            else:
-                start = time.perf_counter()
-                try:
-                    return run_experiment(config)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:
-                    return _failed_from_exception(
-                        config, exc, attempts, time.perf_counter() - start
-                    )
-            retryable = (
-                isinstance(outcome, FailedResult)
-                and outcome.error_type in ("crash", "timeout")
+        if self.isolate or self.timeout_s is not None:
+            return _run_in_workers(
+                [config], 1, self.timeout_s, self.retries, self.retries,
+                self.backoff_s, self._beat,
+            )[0]
+        start = time.perf_counter()
+        try:
+            return run_experiment(config)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:
+            return FailedResult(
+                config=config,
+                error_type="error",
+                message=f"{type(exc).__name__}: {exc}",
+                wall_time_s=time.perf_counter() - start,
             )
-            if not retryable or attempts > self.retries:
-                return outcome
-            # The dead/hung child is being replaced with a fresh one.
-            self._beat("worker_restart")
-            time.sleep(self.backoff_s * attempts)
 
 
 @dataclass(frozen=True)
 class ParallelExecutor(Executor):
-    """Fans a batch out over a process pool, surviving worker failures.
+    """Runs a batch on up to ``jobs`` worker processes at once.
 
-    ``jobs=0`` (the default) sizes the pool to the machine's CPU count.
-    Single-config batches (and ``jobs=1``) fall back to an isolated
-    :class:`SerialExecutor` with the same hardening parameters.
+    ``jobs=0`` (the default) means one worker per CPU.  Failure
+    handling is per config, so co-running configs never share blame:
 
-    Failure handling:
+    * an experiment that *raises* resolves at once to an ``error``
+      :class:`FailedResult` -- no retry (deterministic);
+    * a *worker death* is a ``crash`` of the config that worker held,
+      re-run on a fresh worker up to ``retries + 1`` times;
+    * an experiment exceeding ``timeout_s`` is a ``timeout``; its
+      worker is killed and replaced at once, and the config is re-run
+      up to ``retries`` times.
 
-    * an experiment that *raises* resolves immediately to an ``error``
-      :class:`FailedResult` -- no retry (deterministic), no impact on
-      the rest of the batch;
-    * a *worker death* breaks the pool; the phase ends, configs that
-      were running are treated as crash suspects (one attempt burned),
-      queued configs are innocent (no attempt burned), and a fresh
-      pool runs the survivors;
-    * an experiment exceeding ``timeout_s`` is recorded as a
-      ``timeout`` and its worker slot is considered poisoned; the pool
-      is rebuilt (and hung workers killed) at the end of the phase;
-    * retries are bounded (``retries`` per config, with linear
-      ``backoff_s`` between pool rebuilds); when the pool stops making
-      progress entirely, the remaining configs degrade to isolated
-      serial execution instead of aborting the batch.
+    Re-runs wait ``backoff_s * attempts`` and run alongside the rest of
+    the batch.
     """
 
     jobs: int = 0
@@ -368,6 +418,9 @@ class ParallelExecutor(Executor):
     heartbeat: Optional[HeartbeatHook] = field(
         default=None, compare=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        _check_hardening(self.timeout_s, self.retries)
 
     @property
     def workers(self) -> int:
@@ -380,222 +433,14 @@ class ParallelExecutor(Executor):
         on_result: Optional[OnResult] = None,
     ) -> List[ExperimentOutcome]:
         configs = list(configs)
-        workers = min(self.workers, len(configs))
-        if workers <= 1:
-            # Nothing to overlap; run serially but keep the hardening
-            # (process isolation means a crashing config still cannot
-            # take down the orchestrating process).
-            serial = SerialExecutor(
-                timeout_s=self.timeout_s,
-                retries=self.retries,
-                backoff_s=self.backoff_s,
-                isolate=True,
-                heartbeat=self.heartbeat,
-            )
-            return serial.run_many(configs, on_result=on_result)
-
-        results: List[Optional[ExperimentOutcome]] = [None] * len(configs)
-        attempts = [0] * len(configs)
-
-        def emit(index: int, outcome: ExperimentOutcome) -> None:
-            results[index] = outcome
-            if on_result is not None:
-                on_result(index, configs[index], outcome)
-
-        pending = list(range(len(configs)))
-        rebuilds = 0
-        max_rebuilds = (self.retries + 1) * len(configs) + 1
-        while pending:
-            retry = self._run_phase(pending, configs, attempts, workers, emit)
-            if not retry:
-                break
-            rebuilds += 1
-            # Survivors get a fresh pool (or isolated adjudication):
-            # worker processes were lost, not just slow.
-            self._beat("pool_rebuild")
-            next_pending: List[int] = []
-            for index in retry:
-                if attempts[index] <= self.retries and rebuilds <= max_rebuilds:
-                    next_pending.append(index)
-                    continue
-                # Pool attempts exhausted (or the pool keeps dying).
-                # A broken pool cannot say *which* config killed the
-                # worker, so co-scheduled innocents share the blame;
-                # adjudicate in an isolated child process for a
-                # definitive per-config verdict instead of declaring
-                # a crash on circumstantial evidence.
-                attempts[index] += 1
-                emit(
-                    index,
-                    _run_isolated(configs[index], self.timeout_s, attempts[index]),
-                )
-            if next_pending:
-                time.sleep(min(self.backoff_s * rebuilds, 5.0))
-            pending = next_pending
-        # Every index is resolved by construction; the cast keeps the
-        # public return type honest.
-        return [outcome for outcome in results if outcome is not None]
-
-    # -- one pool lifetime ---------------------------------------------
-    def _run_phase(
-        self,
-        indices: List[int],
-        configs: List[ExperimentConfig],
-        attempts: List[int],
-        workers: int,
-        emit: Callable[[int, ExperimentOutcome], None],
-    ) -> List[int]:
-        """Run ``indices`` on one pool until done or the pool is lost.
-
-        Final outcomes are streamed through ``emit`` the moment each
-        future resolves — not batched per pool lifetime — so journal
-        checkpoints land incrementally and a killed sweep keeps what
-        already finished.  Returns the indices that should be re-run on
-        a fresh pool (crash/timeout with attempts remaining, or
-        never-started innocents).
-        """
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
+        # One crash re-run beyond ``retries``: with ``retries=0`` a
+        # config whose worker was killed from outside the batch still
+        # gets a second run.
+        return _run_in_workers(
+            configs, min(self.workers, len(configs)), self.timeout_s,
+            self.retries, self.retries + 1, self.backoff_s, self._beat,
+            on_result,
         )
-        from concurrent.futures.process import BrokenProcessPool
-
-        resolved: Set[int] = set()
-        retry: List[int] = []
-        timed_out: Set[int] = set()
-        broke = False
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            # FIFO submission: the pool starts the first ``workers``
-            # tasks immediately and picks up the rest in order as
-            # workers free up, which lets the watchdog attribute an
-            # (approximate) start time to every running task.
-            index_of = {}
-            fut_of: Dict[int, object] = {}
-            queued: List[int] = []
-            started_at: Dict[int, float] = {}
-            t0 = time.monotonic()
-            for k, index in enumerate(indices):
-                fut = pool.submit(run_experiment, configs[index])
-                index_of[fut] = index
-                fut_of[index] = fut
-                if k < workers:
-                    started_at[index] = t0
-                else:
-                    queued.append(index)
-            queued.reverse()  # pop() from the tail = FIFO
-            unfinished = set(index_of)
-            lost_workers = 0
-            while unfinished:
-                tick = _WATCHDOG_TICK_S if self.timeout_s is not None else None
-                done, _ = wait(unfinished, timeout=tick,
-                               return_when=FIRST_COMPLETED)
-                now = time.monotonic()
-                for fut in done:
-                    unfinished.discard(fut)
-                    index = index_of[fut]
-                    freed_slot = index in started_at
-                    started_at.pop(index, None)
-                    if index in timed_out:
-                        # Late completion of an abandoned attempt; its
-                        # outcome was already decided by the watchdog.
-                        continue
-                    try:
-                        outcome: ExperimentOutcome = fut.result()
-                    except BrokenProcessPool:
-                        # Every future (started or queued) resolves
-                        # with this once a worker dies; only configs
-                        # that were actually *running* are suspects
-                        # and burn an attempt.
-                        if freed_slot:
-                            attempts[index] += 1
-                        broke = True
-                        continue
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        # The experiment raised inside a healthy
-                        # worker: deterministic, not retryable.
-                        attempts[index] += 1
-                        outcome = _failed_from_exception(
-                            config=configs[index], exc=exc,
-                            attempts=attempts[index],
-                        )
-                    else:
-                        attempts[index] += 1
-                    resolved.add(index)
-                    emit(index, outcome)
-                    if freed_slot and queued and not broke:
-                        started_at[queued.pop()] = now
-                if broke:
-                    break
-                if self.timeout_s is not None:
-                    expired = [
-                        i for i, t_start in started_at.items()
-                        if now - t_start > self.timeout_s
-                    ]
-                    for index in expired:
-                        attempts[index] += 1
-                        timed_out.add(index)
-                        started_at.pop(index)
-                        # Abandon the future: its worker is wedged and
-                        # will never complete it, so waiting on it
-                        # would spin this loop forever.
-                        unfinished.discard(fut_of[index])
-                        lost_workers += 1
-                        failure = FailedResult(
-                            config=configs[index],
-                            error_type="timeout",
-                            message=(
-                                f"exceeded {self.timeout_s:g}s wall clock; "
-                                "worker abandoned"
-                            ),
-                            attempts=attempts[index],
-                            wall_time_s=now - t0,
-                        )
-                        if attempts[index] > self.retries:
-                            resolved.add(index)
-                            emit(index, failure)
-                        else:
-                            retry.append(index)
-                    if expired and lost_workers >= workers:
-                        # Every worker is wedged; nothing queued will
-                        # ever start on this pool.
-                        break
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-            if broke or timed_out:
-                _kill_pool_processes(pool)
-        if broke or (timed_out and lost_workers >= workers):
-            # Partition everything not yet decided: tasks that were
-            # running are crash suspects (burn an attempt); queued
-            # tasks are innocent bystanders (free re-run).  Nobody is
-            # declared dead here -- the caller adjudicates configs
-            # whose attempts are exhausted in an isolated child.
-            for index in indices:
-                if index in resolved or index in retry or index in timed_out:
-                    continue
-                if index in started_at:
-                    attempts[index] += 1
-                retry.append(index)
-        return retry
-
-
-def _kill_pool_processes(pool) -> None:
-    """Best-effort SIGKILL of a broken/poisoned pool's workers.
-
-    ``shutdown(wait=False)`` leaves hung workers running (and the
-    interpreter joins them at exit); killing them directly is the only
-    way to reclaim a wedged slot.  ``_processes`` is CPython
-    implementation detail, hence the defensive access.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        try:
-            proc.kill()
-        except (OSError, AttributeError):  # pragma: no cover - defensive
-            pass
 
 
 def make_executor(
@@ -603,11 +448,12 @@ def make_executor(
     timeout_s: Optional[float] = None,
     retries: int = 0,
 ) -> Executor:
-    """``jobs <= 1`` -> :class:`SerialExecutor`; otherwise a pool of ``jobs``.
+    """``jobs <= 1`` -> :class:`SerialExecutor`; otherwise ``jobs`` workers.
 
     ``timeout_s``/``retries`` configure the hardening on either backend
-    (a serial executor with a timeout runs experiments in watched child
-    processes so the watchdog can reclaim hangs).
+    (a serial executor with a timeout runs experiments in watched worker
+    processes so the watchdog can reclaim hangs).  Raises ``ValueError``
+    for a non-positive ``timeout_s`` or a negative ``retries``.
     """
     if jobs is None or jobs <= 1:
         return SerialExecutor(
@@ -637,5 +483,3 @@ def with_heartbeat(executor: Executor, hook: Optional[HeartbeatHook]) -> Executo
     except (AttributeError, TypeError):
         pass
     return executor
-
-

@@ -10,8 +10,8 @@ shared across invocations (any :class:`~repro.store.base.ResultStore`
 backend, which answers a whole chunk's probe with one ``get_many``
 batch) -- and delegates cache misses to an
 :class:`~repro.harness.executor.Executor` (serial by default; pass a
-:class:`~repro.harness.executor.ParallelExecutor` to fan batches out
-over a process pool).
+:class:`~repro.harness.executor.ParallelExecutor` to run batches on
+several worker processes at once).
 
 Because the cache key excludes observability-only fields, a run
 collected with link-hours can stand in for the plain run; the converse

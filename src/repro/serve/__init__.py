@@ -24,8 +24,9 @@ supported Python caller.
 
 One dispatcher thread and one lock (the service condition) carry
 every request.  Failures are contained without restarting anything:
-the executor rebuilds a broken worker pool and its ``--timeout``
-watchdog reclaims hung simulations; per-config-family circuit breakers
+the executor replaces a dead worker process and re-runs only its
+config, and its ``--timeout`` watchdog reclaims hung simulations;
+per-config-family circuit breakers
 (:class:`~repro.serve.breaker.BreakerBoard`) short-circuit families
 that keep failing; graceful degradation (:mod:`repro.serve.degrade`)
 answers saturation and open breakers with the closed-form analytical

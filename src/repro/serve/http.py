@@ -191,7 +191,13 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            # The body's extent is unknown, so the connection cannot be
+            # reused for a next request.
+            self.close_connection = True
+            raise _BadRequest("Content-Length is not an integer") from None
         if length <= 0:
             raise _BadRequest("missing request body")
         raw = self.rfile.read(length)

@@ -31,7 +31,8 @@ behaviours a shared simulator needs:
   executor time) and :meth:`ExperimentService.stats` returns the JSON
   payload the ``/stats`` endpoint serves;
 * **failure containment** -- worker crashes and hangs are contained by
-  the executor (pool rebuilds, the ``--timeout`` watchdog);
+  the executor (a dead or hung worker process is replaced and its
+  config re-run, the ``--timeout`` watchdog);
   per-config-family :class:`~repro.serve.breaker.CircuitBreaker`\\ s
   short-circuit families that keep failing; with
   ``degrade="analytical"``, a saturated queue or open breaker answers
@@ -104,8 +105,8 @@ LATENCY_EDGES_MS = (
 #: Service health states in severity order (index = StateGauge value).
 SERVICE_STATES = ("healthy", "degraded", "draining", "unhealthy")
 
-#: Seconds a pool rebuild, worker restart or degraded answer keeps the
-#: service ``degraded``.
+#: Seconds a worker restart or degraded answer keeps the service
+#: ``degraded``.
 DEGRADED_HOLD_S = 30.0
 
 #: The counter each answering tier bumps.
@@ -282,8 +283,8 @@ class ExperimentService:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.memory = LruResultCache(self.settings.memory_entries)
         base_executor = executor if executor is not None else SerialExecutor()
-        #: The executor, wrapped so pool rebuilds and worker restarts
-        #: are counted and mark the service degraded.
+        #: The executor, wrapped so worker restarts are counted and
+        #: mark the service degraded.
         self.executor = with_heartbeat(base_executor, self._on_executor_event)
         #: Per-config-family circuit breakers (injectable for tests).
         self.breakers = (
@@ -336,8 +337,8 @@ class ExperimentService:
         return self
 
     def _on_executor_event(self, event: str) -> None:
-        """Executor hook: count a pool rebuild or worker restart and
-        hold the service ``degraded`` for :data:`DEGRADED_HOLD_S`."""
+        """Executor hook: count a worker restart and hold the service
+        ``degraded`` for :data:`DEGRADED_HOLD_S`."""
         with self._cond:
             self._bump("serve.supervisor.worker_restarts")
             self._note_degraded_locked(event)
@@ -722,12 +723,12 @@ class ExperimentService:
         ``status`` is one of :data:`SERVICE_STATES`: ``unhealthy`` once
         the dispatcher exited outside a drain, ``draining`` once drain
         began, ``degraded`` while a breaker is not closed or within
-        :data:`DEGRADED_HOLD_S` of a pool rebuild, worker restart or
-        degraded answer, and ``healthy`` otherwise.  ``live`` and
-        ``ready`` are the split probes ``/healthz/live`` and
-        ``/healthz/ready`` answer: a degraded service is still live and
-        ready -- it is answering, possibly approximately -- while
-        draining fails readiness only and unhealthy fails both.
+        :data:`DEGRADED_HOLD_S` of a worker restart or degraded answer,
+        and ``healthy`` otherwise.  ``live`` and ``ready`` are the split
+        probes ``/healthz/live`` and ``/healthz/ready`` answer: a
+        degraded service is still live and ready -- it is answering,
+        possibly approximately -- while draining fails readiness only
+        and unhealthy fails both.
         """
         with self._cond:
             state, reason = self._state_locked()

@@ -18,6 +18,7 @@ from repro.harness.executor import (
     ParallelExecutor,
     SerialExecutor,
     make_executor,
+    with_heartbeat,
 )
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.io import result_to_cache_dict
@@ -217,6 +218,31 @@ class TestParallelHardening:
         assert isinstance(results[0], FailedResult)
         assert not isinstance(results[1], FailedResult)
 
+    @staticmethod
+    def _counting(executor):
+        events = []
+        return with_heartbeat(executor, events.append), events
+
+    def test_single_config_crash_gets_the_extra_rerun(self):
+        executor, events = self._counting(ParallelExecutor(jobs=2, backoff_s=0.01))
+        results = executor.run_many([DIE])
+        assert isinstance(results[0], FailedResult)
+        assert results[0].error_type == "crash"
+        assert results[0].attempts == 2
+        assert events == ["worker_restart"]
+
+    def test_each_crash_restarts_only_its_own_worker(self):
+        executor, events = self._counting(ParallelExecutor(jobs=2, backoff_s=0.01))
+        results = executor.run_many([DIE, DIE.replace(seed=8)])
+        assert [r.error_type for r in results] == ["crash", "crash"]
+        assert events == ["worker_restart", "worker_restart"]
+
+    def test_no_worker_outlives_run_many(self):
+        import multiprocessing
+
+        ParallelExecutor(jobs=2).run_many([OK1, OK2])
+        assert multiprocessing.active_children() == []
+
 
 class TestMakeExecutor:
     def test_serial_by_default(self):
@@ -233,6 +259,25 @@ class TestMakeExecutor:
         ex = make_executor(4, timeout_s=9.0, retries=2)
         assert isinstance(ex, ParallelExecutor)
         assert ex.jobs == 4 and ex.timeout_s == 9.0 and ex.retries == 2
+
+    @pytest.mark.parametrize("kind", [SerialExecutor, ParallelExecutor])
+    def test_rejects_budgets_the_runner_cannot_honour(self, kind):
+        for bad in (dict(timeout_s=0.0), dict(timeout_s=-5.0),
+                    dict(retries=-2)):
+            with pytest.raises(ValueError):
+                kind(**bad)
+
+    def test_cli_rejects_zero_timeout_before_simulating(self, monkeypatch):
+        from repro.cli import main
+        from repro.harness import executor as executor_module
+
+        def no_simulation(config):
+            raise AssertionError("simulated despite an invalid --timeout")
+
+        monkeypatch.setattr(executor_module, "run_experiment", no_simulation)
+        with pytest.raises(SystemExit, match="error: timeout must be > 0"):
+            main(["run", "--workload", "sp.D", "--window-us", "10",
+                  "--no-cache", "--timeout", "0"])
 
     def test_failed_result_describe(self):
         failure = FailedResult(

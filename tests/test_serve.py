@@ -624,6 +624,21 @@ class TestHttpApi:
             assert status == 400, bad
             assert "error" in body
 
+    def test_malformed_content_length_is_400(self, http_server):
+        base, _, _ = http_server
+        host, port = base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/run HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: abc\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400", reply
+        assert b"Content-Length" in rest.partition(b"\r\n\r\n")[2]
+
     def test_listen_backlog_holds_a_burst_of_connections(self):
         """A burst of concurrent clients waits in the backlog, not 1 s in
         SYN retransmission (the server here is bound but not accepting)."""
