@@ -53,6 +53,7 @@ from repro.harness.executor import FailedResult, make_executor
 from repro.harness.experiment import ExperimentConfig, POLICY_NAMES
 from repro.harness import figures as F
 from repro.harness.journal import SweepJournal
+from repro.harness.metrics import power_reduction
 from repro.harness.report import format_table, render_run_summary
 from repro.harness.sweep import ExperimentFailedError, SweepRunner
 from repro.obs import ALL_CATEGORIES, TRACE_FORMATS
@@ -185,7 +186,7 @@ def _cmd_run(args) -> int:
 
     if args.baseline and config.policy != "none":
         base = runner.run(config.baseline())
-        saved = 1 - result.network_power_w / base.network_power_w
+        saved = power_reduction(base.network_power_w, result.network_power_w)
         deg = 1 - result.throughput_per_s / base.throughput_per_s
         print()
         print(f"vs full power: {saved:+.1%} network power, {deg:+.2%} throughput cost")
@@ -242,11 +243,6 @@ def _cmd_figure(args) -> int:
         print(f"unknown figure {args.name!r}; choose from {sorted(_FIGURES)}",
               file=sys.stderr)
         return 2
-    # Batch-prefetch the figure's whole grid so --jobs overlaps the
-    # simulations; the figure function then reads everything from cache.
-    prefetch = F.figure_configs(args.name, settings)
-    if prefetch:
-        runner.run_all(prefetch)
     fn(runner, settings)
     _print_run_stats(runner)
     return 0
@@ -547,9 +543,6 @@ def _cmd_sweep_alpha(args) -> int:
         policy=args.policy,
         window_ns=args.window_us * 1000.0,
         epoch_ns=args.epoch_us * 1000.0,
-    )
-    runner.run_all(
-        [config.replace(alpha=a) for a in args.alphas] + [config.baseline()]
     )
     try:
         points = sweep_alpha(runner, config, alphas=args.alphas)

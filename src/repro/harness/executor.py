@@ -4,9 +4,9 @@
 simulation of cache misses to an *executor*.  Two are provided:
 
 * :class:`SerialExecutor` -- runs each config inline, in order (the
-  default); with ``timeout_s`` set or ``isolate=True`` each experiment
-  runs in a watched worker process instead, so a hung or crashing
-  simulation cannot take the caller down;
+  default); with ``timeout_s`` set or ``isolate=True`` a batch runs on
+  one watched worker process instead, so a hung or crashing simulation
+  cannot take the caller down;
 * :class:`ParallelExecutor` -- runs a batch on up to ``jobs`` watched
   worker processes at once.
 
@@ -340,11 +340,14 @@ class SerialExecutor(Executor):
 
     By default experiments run inline and a raising simulation becomes
     an ``error`` :class:`FailedResult` (the batch continues).  With
-    ``timeout_s`` set or ``isolate=True``, each experiment instead runs
-    in a watched worker process of its own, which additionally survives
-    crashes and hangs; ``retries`` then re-attempts ``crash`` /
-    ``timeout`` failures (``error`` failures are deterministic and are
-    never retried).
+    ``timeout_s`` set or ``isolate=True``, a ``run_many`` batch instead
+    runs on one watched worker process, reused from config to config,
+    which additionally survives crashes and hangs: the worker is
+    replaced and ``retries`` re-attempts the ``crash`` / ``timeout``
+    config (``error`` failures are deterministic and are never
+    retried).  A re-run waits out its backoff while later configs run,
+    so ``on_result`` may fire out of input order; outcomes are still
+    returned in input order.
     """
 
     jobs: int = 1
@@ -364,6 +367,11 @@ class SerialExecutor(Executor):
         configs: Iterable[ExperimentConfig],
         on_result: Optional[OnResult] = None,
     ) -> List[ExperimentOutcome]:
+        if self.isolate or self.timeout_s is not None:
+            return _run_in_workers(
+                list(configs), 1, self.timeout_s, self.retries, self.retries,
+                self.backoff_s, self._beat, on_result,
+            )
         out: List[ExperimentOutcome] = []
         for index, config in enumerate(configs):
             outcome = self._run_one(config)
@@ -373,11 +381,6 @@ class SerialExecutor(Executor):
         return out
 
     def _run_one(self, config: ExperimentConfig) -> ExperimentOutcome:
-        if self.isolate or self.timeout_s is not None:
-            return _run_in_workers(
-                [config], 1, self.timeout_s, self.retries, self.retries,
-                self.backoff_s, self._beat,
-            )[0]
         start = time.perf_counter()
         try:
             return run_experiment(config)
@@ -451,8 +454,8 @@ def make_executor(
     """``jobs <= 1`` -> :class:`SerialExecutor`; otherwise ``jobs`` workers.
 
     ``timeout_s``/``retries`` configure the hardening on either backend
-    (a serial executor with a timeout runs experiments in watched worker
-    processes so the watchdog can reclaim hangs).  Raises ``ValueError``
+    (a serial executor with a timeout runs each batch on a watched
+    worker process so the watchdog can reclaim hangs).  Raises ``ValueError``
     for a non-positive ``timeout_s`` or a negative ``retries``.
     """
     if jobs is None or jobs <= 1:

@@ -1,10 +1,12 @@
 """Per-figure reproduction logic: one function per paper artifact.
 
-Each ``figN_*`` function assembles the runs that artifact needs (via a
-shared, caching :class:`~repro.harness.sweep.SweepRunner`) and returns
-structured rows mirroring the paper's plot.  The benchmark suite calls
-these and prints the rows; EXPERIMENTS.md records the comparison with
-the published numbers.
+Each ``figN_*`` function has one grid builder that lists the artifact's
+rows, each with the configs every workload (or topology) contributes to
+it.  The function runs the whole grid as one batch on a shared, caching
+:class:`~repro.harness.sweep.SweepRunner` and reduces each row to the
+values of the paper's plot; :data:`FIGURE_CONFIGS` flattens the same
+builders.  The benchmark suite calls these and prints the rows;
+EXPERIMENTS.md records the comparison with the published numbers.
 
 Simulated windows and workload subsets are controlled by
 :class:`RunSettings`; the defaults are sized so the full benchmark suite
@@ -14,12 +16,17 @@ paper's complete 14-workload grids (slower but more faithful).
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.harness.experiment import ExperimentConfig
-from repro.harness.metrics import UTILIZATION_BUCKETS, performance_degradation
+from repro.harness.experiment import ExperimentConfig, ExperimentResult
+from repro.harness.metrics import (
+    UTILIZATION_BUCKETS,
+    performance_degradation,
+    power_reduction,
+)
 from repro.harness.sweep import SweepRunner
 from repro.network.topology import TOPOLOGY_NAMES
 from repro.workloads.profiles import WORKLOAD_NAMES, get_profile
@@ -110,12 +117,68 @@ def fig4_workload_cdfs(
 
 
 # ----------------------------------------------------------------------
+# Grid cells: each figure declares its grid once and runs it in one batch
+# ----------------------------------------------------------------------
+#: One row of a figure's grid: ``(row key, points)``, where each point is
+#: the tuple of configs one workload (or topology) contributes to the row,
+#: e.g. ``(managed, managed.baseline())``.
+Cell = Tuple[tuple, List[Tuple[ExperimentConfig, ...]]]
+
+_SCALES: Tuple[str, ...] = ("small", "big")
+
+
+def _configs(cells: Sequence[Cell]) -> List[ExperimentConfig]:
+    """Every config of ``cells``, in row order."""
+    return [config for _key, points in cells for point in points for config in point]
+
+
+def _run_cells(
+    runner: SweepRunner, cells: Sequence[Cell]
+) -> List[Tuple[tuple, List[Tuple[ExperimentResult, ...]]]]:
+    """Run every config of ``cells`` in one batch; the cells with results.
+
+    Raises :class:`~repro.harness.sweep.ExperimentFailedError` for the
+    first failed config, once the whole batch has run.
+    """
+    results = iter(runner.results(_configs(cells)))
+    return [
+        (key, [tuple(itertools.islice(results, len(point))) for point in points])
+        for key, points in cells
+    ]
+
+
+def _with_baseline(config: ExperimentConfig) -> Tuple[ExperimentConfig, ...]:
+    return (config, config.baseline())
+
+
+def _saved(managed: ExperimentResult, reference: ExperimentResult) -> float:
+    """Network power ``managed`` saves against ``reference`` (fraction)."""
+    return power_reduction(reference.network_power_w, managed.network_power_w)
+
+
+def _degradation(managed: ExperimentResult, baseline: ExperimentResult) -> float:
+    return performance_degradation(baseline.throughput_per_s, managed.throughput_per_s)
+
+
+def _avg(values) -> float:
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0
+
+
+# ----------------------------------------------------------------------
 # Figures 5 / 6 / 8 / 9 -- full-power characterization
 # ----------------------------------------------------------------------
-def _fp_config(settings: RunSettings, workload: str, topology: str, scale: str) -> ExperimentConfig:
-    return settings.base_config(
-        workload=workload, topology=topology, scale=scale, mechanism="FP", policy="none"
-    )
+def _fp_cells(settings: RunSettings) -> List[Cell]:
+    """(scale, topology) rows of full-power runs, one per workload."""
+    return [
+        ((scale, topology), [
+            (settings.base_config(workload=w, topology=topology, scale=scale,
+                                  mechanism="FP", policy="none"),)
+            for w in settings.workloads
+        ])
+        for scale in _SCALES
+        for topology in settings.topologies
+    ]
 
 
 def fig5_power_breakdown(
@@ -127,12 +190,12 @@ def fig5_power_breakdown(
     bars (plus a per-scale average row).
     """
     rows: List[Tuple[str, str, Dict[str, float]]] = []
-    for scale in ("small", "big"):
+    cells = _run_cells(runner, _fp_cells(settings))
+    for scale, group in itertools.groupby(cells, lambda cell: cell[0][0]):
         per_topology: List[Dict[str, float]] = []
-        for topology in settings.topologies:
+        for (_scale, topology), points in group:
             acc: Dict[str, float] = {}
-            for workload in settings.workloads:
-                res = runner.run(_fp_config(settings, workload, topology, scale))
+            for (res,) in points:
                 for cat, w in res.breakdown.watts.items():
                     acc[cat] = acc.get(cat, 0.0) + w
             n = len(settings.workloads)
@@ -147,45 +210,36 @@ def fig5_power_breakdown(
     return rows
 
 
+def _per_run(runner: SweepRunner, settings: RunSettings, measure) -> list:
+    """(scale, topology, workload, *measure(result)) per full-power run."""
+    return [
+        (scale, topology, workload, *measure(res))
+        for (scale, topology), points in _run_cells(runner, _fp_cells(settings))
+        for workload, (res,) in zip(settings.workloads, points)
+    ]
+
+
 def fig6_modules_traversed(
     runner: SweepRunner, settings: RunSettings
 ) -> List[Tuple[str, str, str, float]]:
     """(scale, topology, workload, avg modules traversed per access)."""
-    rows = []
-    for scale in ("small", "big"):
-        for topology in settings.topologies:
-            for workload in settings.workloads:
-                res = runner.run(_fp_config(settings, workload, topology, scale))
-                rows.append((scale, topology, workload, res.avg_modules_traversed))
-    return rows
+    return _per_run(runner, settings, lambda res: (res.avg_modules_traversed,))
 
 
 def fig8_idle_io_fraction(
     runner: SweepRunner, settings: RunSettings
 ) -> List[Tuple[str, str, str, float]]:
     """(scale, topology, workload, idle-I/O fraction of network power)."""
-    rows = []
-    for scale in ("small", "big"):
-        for topology in settings.topologies:
-            for workload in settings.workloads:
-                res = runner.run(_fp_config(settings, workload, topology, scale))
-                rows.append((scale, topology, workload, res.idle_io_fraction))
-    return rows
+    return _per_run(runner, settings, lambda res: (res.idle_io_fraction,))
 
 
 def fig9_utilization(
     runner: SweepRunner, settings: RunSettings
 ) -> List[Tuple[str, str, str, float, float]]:
     """(scale, topology, workload, channel util, avg link util)."""
-    rows = []
-    for scale in ("small", "big"):
-        for topology in settings.topologies:
-            for workload in settings.workloads:
-                res = runner.run(_fp_config(settings, workload, topology, scale))
-                rows.append(
-                    (scale, topology, workload, res.channel_utilization, res.link_utilization)
-                )
-    return rows
+    return _per_run(
+        runner, settings, lambda res: (res.channel_utilization, res.link_utilization)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +270,22 @@ def _managed_config(
     )
 
 
+def _fig11_cells(settings: RunSettings) -> List[Cell]:
+    """(scale, topology, "FP" or mechanism, alpha) rows, one run per workload."""
+    cells: List[Cell] = []
+    for (scale, topology), points in _fp_cells(settings):
+        cells.append(((scale, topology, "FP", 0.0), points))
+        for mechanism in _UNAWARE_MECHS:
+            for alpha in _ALPHAS:
+                cells.append(((scale, topology, mechanism, alpha), [
+                    (_managed_config(
+                        settings, w, topology, scale, mechanism, "unaware", alpha
+                    ),)
+                    for w in settings.workloads
+                ]))
+    return cells
+
+
 def fig11_unaware_power(
     runner: SweepRunner, settings: RunSettings
 ) -> List[Tuple[str, str, str, float, float]]:
@@ -224,65 +294,62 @@ def fig11_unaware_power(
     Rows of (scale, topology, label, alpha, watts per HMC) where label
     is "FP" or the mechanism name; values average over workloads.
     """
-    rows = []
-    for scale in ("small", "big"):
-        for topology in settings.topologies:
-            fp_power = _avg(
-                runner.run(_fp_config(settings, w, topology, scale)).power_per_hmc_w
-                for w in settings.workloads
-            )
-            rows.append((scale, topology, "FP", 0.0, fp_power))
-            for mechanism in _UNAWARE_MECHS:
-                for alpha in _ALPHAS:
-                    power = _avg(
-                        runner.run(
-                            _managed_config(
-                                settings, w, topology, scale, mechanism, "unaware", alpha
-                            )
-                        ).power_per_hmc_w
-                        for w in settings.workloads
-                    )
-                    rows.append((scale, topology, mechanism, alpha, power))
-    return rows
+    return [
+        (*key, _avg(res.power_per_hmc_w for (res,) in points))
+        for key, points in _run_cells(runner, _fig11_cells(settings))
+    ]
+
+
+def _managed_cells(settings: RunSettings, policy: str, point) -> List[Cell]:
+    """(scale, topology, mechanism, alpha) rows of Figs. 12, 15 and 17.
+
+    ``point`` maps each workload's managed config (under ``policy``) to
+    the configs that workload contributes to the row.
+    """
+    return [
+        ((scale, topology, mechanism, alpha), [
+            point(_managed_config(
+                settings, w, topology, scale, mechanism, policy, alpha
+            ))
+            for w in settings.workloads
+        ])
+        for scale in _SCALES
+        for mechanism in _UNAWARE_MECHS
+        for alpha in _ALPHAS
+        for topology in settings.topologies
+    ]
+
+
+def _fig12_cells(settings: RunSettings) -> List[Cell]:
+    return _managed_cells(settings, "unaware", _with_baseline)
 
 
 def fig12_unaware_performance(
     runner: SweepRunner, settings: RunSettings
 ) -> List[Tuple[str, str, str, float, float, float]]:
     """(scale, topology, mechanism, alpha, avg degradation, max degradation)."""
-    return _performance_grid(runner, settings, "unaware", _UNAWARE_MECHS, _ALPHAS)
-
-
-def _performance_grid(
-    runner: SweepRunner,
-    settings: RunSettings,
-    policy: str,
-    mechanisms: Sequence[str],
-    alphas: Sequence[float],
-    wake_ns: float = 14.0,
-) -> List[Tuple[str, str, str, float, float, float]]:
     rows = []
-    for scale in ("small", "big"):
-        for mechanism in mechanisms:
-            for alpha in alphas:
-                for topology in settings.topologies:
-                    degs = [
-                        runner.degradation_vs_baseline(
-                            _managed_config(
-                                settings, w, topology, scale, mechanism, policy, alpha, wake_ns
-                            )
-                        )
-                        for w in settings.workloads
-                    ]
-                    rows.append(
-                        (scale, topology, mechanism, alpha, _avg(degs), max(degs))
-                    )
+    for key, points in _run_cells(runner, _fig12_cells(settings)):
+        degs = [_degradation(managed, baseline) for managed, baseline in points]
+        rows.append((*key, _avg(degs), max(degs)))
     return rows
 
 
 # ----------------------------------------------------------------------
 # Figure 13 -- link-hours by utilization and width mode
 # ----------------------------------------------------------------------
+def _fig13_cells(
+    settings: RunSettings, policy: str = "unaware", scale: str = "big"
+) -> List[Cell]:
+    """One row: every topology's and workload's VWL run, with link hours."""
+    return [((), [
+        (settings.base_config(workload=w, topology=topology, scale=scale,
+                              mechanism="VWL", policy=policy, collect_link_hours=True),)
+        for topology in settings.topologies
+        for w in settings.workloads
+    ])]
+
+
 def fig13_link_hours(
     runner: SweepRunner,
     settings: RunSettings,
@@ -294,19 +361,15 @@ def fig13_link_hours(
     Returns ``{bucket_label: {width_index: fraction}}`` accumulated over
     the settings' workloads and topologies for VWL links.
     """
+    [(_key, points)] = _run_cells(runner, _fig13_cells(settings, policy, scale))
     hours: Dict[Tuple[str, int], float] = {}
     total = 0.0
-    for topology in settings.topologies:
-        for workload in settings.workloads:
-            config = _managed_config(
-                settings, workload, topology, scale, "VWL", policy, 0.05
-            ).replace(collect_link_hours=True)
-            res = runner.run(config)
-            # Sorted, so a stored result (whose link hours come back
-            # sorted) sums in the same order as a fresh one.
-            for key, t in sorted((res.link_hours or {}).items()):
-                hours[key] = hours.get(key, 0.0) + t
-                total += t
+    for (res,) in points:
+        # Sorted, so a stored result (whose link hours come back
+        # sorted) sums in the same order as a fresh one.
+        for key, t in sorted((res.link_hours or {}).items()):
+            hours[key] = hours.get(key, 0.0) + t
+            total += t
     out: Dict[str, Dict[int, float]] = {
         label: {} for label, _lo, _hi in UTILIZATION_BUCKETS
     }
@@ -320,6 +383,12 @@ def fig13_link_hours(
 # ----------------------------------------------------------------------
 # Figures 15 / 16 / 17 -- network-aware management
 # ----------------------------------------------------------------------
+def _fig15_cells(settings: RunSettings) -> List[Cell]:
+    return _managed_cells(
+        settings, "aware", lambda aware: (aware, aware.replace(policy="unaware"))
+    )
+
+
 def fig15_aware_vs_unaware(
     runner: SweepRunner, settings: RunSettings
 ) -> List[Tuple[str, str, str, float, float]]:
@@ -328,24 +397,27 @@ def fig15_aware_vs_unaware(
     Rows of (scale, topology, mechanism, alpha, reduction fraction),
     averaged over workloads.
     """
-    rows = []
-    for scale in ("small", "big"):
-        for mechanism in _UNAWARE_MECHS:
-            for alpha in _ALPHAS:
-                for topology in settings.topologies:
-                    reductions = [
-                        runner.compare(
-                            _managed_config(
-                                settings, w, topology, scale, mechanism, "aware", alpha
-                            ),
-                            _managed_config(
-                                settings, w, topology, scale, mechanism, "unaware", alpha
-                            ),
-                        )
-                        for w in settings.workloads
-                    ]
-                    rows.append((scale, topology, mechanism, alpha, _avg(reductions)))
-    return rows
+    return [
+        (*key, _avg(_saved(aware, unaware) for aware, unaware in points))
+        for key, points in _run_cells(runner, _fig15_cells(settings))
+    ]
+
+
+def _fig16_cells(
+    settings: RunSettings, scale: str = "big", alpha: float = 0.05
+) -> List[Cell]:
+    """(workload, mechanism, policy) rows, one managed run per topology."""
+    return [
+        ((workload, mechanism, policy), [
+            _with_baseline(_managed_config(
+                settings, workload, topology, scale, mechanism, policy, alpha
+            ))
+            for topology in settings.topologies
+        ])
+        for workload in settings.workloads
+        for mechanism in _UNAWARE_MECHS
+        for policy in ("unaware", "aware")
+    ]
 
 
 def fig16_per_workload_savings(
@@ -359,60 +431,52 @@ def fig16_per_workload_savings(
     Rows of (workload, mechanism, policy, reduction fraction) averaged
     over topologies, matching Figure 16's bars.
     """
-    rows = []
-    for workload in settings.workloads:
-        for mechanism in _UNAWARE_MECHS:
-            for policy in ("unaware", "aware"):
-                reductions = [
-                    runner.power_reduction_vs_baseline(
-                        _managed_config(
-                            settings, workload, topology, scale, mechanism, policy, alpha
-                        )
-                    )
-                    for topology in settings.topologies
-                ]
-                rows.append((workload, mechanism, policy, _avg(reductions)))
-    return rows
+    return [
+        (*key, _avg(_saved(managed, baseline) for managed, baseline in points))
+        for key, points in _run_cells(runner, _fig16_cells(settings, scale, alpha))
+    ]
+
+
+def _fig17_cells(settings: RunSettings) -> List[Cell]:
+    return _managed_cells(
+        settings, "aware",
+        lambda aware: (aware, aware.replace(policy="unaware"), aware.baseline()),
+    )
 
 
 def fig17_aware_performance(
     runner: SweepRunner, settings: RunSettings
 ) -> List[Tuple[str, str, str, float, float, float]]:
     """(scale, topology, mechanism, alpha, avg deg vs unaware, max deg vs FP)."""
-    rows = []
-    for scale in ("small", "big"):
-        for mechanism in _UNAWARE_MECHS:
-            for alpha in _ALPHAS:
-                for topology in settings.topologies:
-                    rel = []
-                    vs_fp = []
-                    for w in settings.workloads:
-                        aware_cfg = _managed_config(
-                            settings, w, topology, scale, mechanism, "aware", alpha
-                        )
-                        unaware_cfg = aware_cfg.replace(policy="unaware")
-                        aware = runner.run(aware_cfg)
-                        unaware = runner.run(unaware_cfg)
-                        baseline = runner.run(aware_cfg.baseline())
-                        rel.append(
-                            performance_degradation(
-                                unaware.throughput_per_s, aware.throughput_per_s
-                            )
-                        )
-                        vs_fp.append(
-                            performance_degradation(
-                                baseline.throughput_per_s, aware.throughput_per_s
-                            )
-                        )
-                    rows.append(
-                        (scale, topology, mechanism, alpha, _avg(rel), max(vs_fp))
-                    )
-    return rows
+    return [
+        (
+            *key,
+            _avg(_degradation(aware, unaware) for aware, unaware, _fp in points),
+            max(_degradation(aware, baseline) for aware, _u, baseline in points),
+        )
+        for key, points in _run_cells(runner, _fig17_cells(settings))
+    ]
 
 
 # ----------------------------------------------------------------------
 # Figure 18 -- DVFS and 20 ns ROO sensitivity
 # ----------------------------------------------------------------------
+def _fig18_cells(settings: RunSettings, alpha: float = 0.05) -> List[Cell]:
+    """(scale, mechanism label, policy) rows, one run per topology and workload."""
+    return [
+        ((scale, mechanism if mechanism == "DVFS" else f"{mechanism}@{int(wake)}ns", policy), [
+            _with_baseline(_managed_config(
+                settings, w, topology, scale, mechanism, policy, alpha, wake
+            ))
+            for topology in settings.topologies
+            for w in settings.workloads
+        ])
+        for scale in _SCALES
+        for mechanism, wake in (("DVFS", 14.0), ("ROO", 20.0), ("DVFS+ROO", 20.0))
+        for policy in ("unaware", "aware")
+    ]
+
+
 def fig18_dvfs_sensitivity(
     runner: SweepRunner, settings: RunSettings, alpha: float = 0.05
 ) -> List[Tuple[str, str, str, float, float]]:
@@ -421,28 +485,36 @@ def fig18_dvfs_sensitivity(
     Mechanisms: DVFS, ROO with 20 ns wakeup, DVFS+ROO(20 ns); averaged
     over topologies and workloads.
     """
-    rows = []
-    grid = (("DVFS", 14.0), ("ROO", 20.0), ("DVFS+ROO", 20.0))
-    for scale in ("small", "big"):
-        for mechanism, wake in grid:
-            for policy in ("unaware", "aware"):
-                reductions = []
-                degs = []
-                for topology in settings.topologies:
-                    for w in settings.workloads:
-                        config = _managed_config(
-                            settings, w, topology, scale, mechanism, policy, alpha, wake
-                        )
-                        reductions.append(runner.power_reduction_vs_baseline(config))
-                        degs.append(runner.degradation_vs_baseline(config))
-                label = f"{mechanism}@{int(wake)}ns" if mechanism != "DVFS" else mechanism
-                rows.append((scale, label, policy, _avg(reductions), _avg(degs)))
-    return rows
+    return [
+        (
+            *key,
+            _avg(_saved(managed, baseline) for managed, baseline in points),
+            _avg(_degradation(managed, baseline) for managed, baseline in points),
+        )
+        for key, points in _run_cells(runner, _fig18_cells(settings, alpha))
+    ]
 
 
 # ----------------------------------------------------------------------
 # Section VII-A -- static fat/tapered baseline
 # ----------------------------------------------------------------------
+def _sec7_cells(settings: RunSettings, scale: str = "big") -> List[Cell]:
+    """One row: (static, its baseline, aware at 30 %, its baseline) per run."""
+    points = []
+    for topology in settings.topologies:
+        for workload in settings.workloads:
+            static = settings.base_config(
+                workload=workload, topology=topology, scale=scale,
+                mechanism="VWL", policy="static", mapping="interleaved",
+            )
+            aware = settings.base_config(
+                workload=workload, topology=topology, scale=scale,
+                mechanism="VWL", policy="aware", alpha=0.30,
+            )
+            points.append(_with_baseline(static) + _with_baseline(aware))
+    return [((), points)]
+
+
 def sec7_static_comparison(
     runner: SweepRunner, settings: RunSettings, scale: str = "big"
 ) -> Dict[str, float]:
@@ -452,37 +524,14 @@ def sec7_static_comparison(
     static scheme, average degradation and relative power advantage of
     network-aware management at the matching performance point.
     """
-    static_degs: List[float] = []
-    static_power: List[float] = []
-    aware_degs: List[float] = []
-    aware_power: List[float] = []
-    for topology in settings.topologies:
-        for workload in settings.workloads:
-            static_cfg = settings.base_config(
-                workload=workload,
-                topology=topology,
-                scale=scale,
-                mechanism="VWL",
-                policy="static",
-                mapping="interleaved",
-            )
-            static_degs.append(runner.degradation_vs_baseline(static_cfg))
-            static_power.append(runner.run(static_cfg).network_power_w)
-            aware_cfg = settings.base_config(
-                workload=workload,
-                topology=topology,
-                scale=scale,
-                mechanism="VWL",
-                policy="aware",
-                alpha=0.30,
-            )
-            aware_degs.append(runner.degradation_vs_baseline(aware_cfg))
-            aware_power.append(runner.run(aware_cfg).network_power_w)
+    [(_key, points)] = _run_cells(runner, _sec7_cells(settings, scale))
+    static_degs = [_degradation(static, base) for static, base, _a, _ab in points]
+    aware_degs = [_degradation(aware, base) for _s, _sb, aware, base in points]
     top_quarter = max(1, len(static_degs) // 4)
     worst_static = sorted(static_degs, reverse=True)[:top_quarter]
     worst_aware = sorted(aware_degs, reverse=True)[:top_quarter]
-    total_static = sum(static_power)
-    total_aware = sum(aware_power)
+    total_static = sum(static.network_power_w for static, _sb, _a, _ab in points)
+    total_aware = sum(aware.network_power_w for _s, _sb, aware, _ab in points)
     return {
         "static_avg_degradation": _avg(static_degs),
         "static_max_degradation": max(static_degs),
@@ -490,9 +539,7 @@ def sec7_static_comparison(
         "aware_avg_degradation": _avg(aware_degs),
         "aware_max_degradation": max(aware_degs),
         "aware_top_quarter_degradation": _avg(worst_aware),
-        "aware_power_reduction_vs_static": (
-            1.0 - total_aware / total_static if total_static > 0 else 0.0
-        ),
+        "aware_power_reduction_vs_static": power_reduction(total_static, total_aware),
     }
 
 
@@ -513,25 +560,19 @@ HETERO_DEPTH_SERIES: Tuple[Tuple[str, str, str, str], ...] = (
 )
 
 
-def _hetero_config(
-    settings: RunSettings,
-    workload: str,
-    topology: str,
-    mechanism: str,
-    overrides: str,
-    policy: str,
-    scale: str = "big",
-    alpha: float = 0.05,
-) -> ExperimentConfig:
-    return settings.base_config(
-        workload=workload,
-        topology=topology,
-        scale=scale,
-        mechanism=mechanism,
-        mechanism_overrides=overrides,
-        policy=policy,
-        alpha=alpha,
-    )
+def _hetero_depth_cells(settings: RunSettings, scale: str = "big") -> List[Cell]:
+    """(topology, series label, override spec) rows, one run per workload."""
+    return [
+        ((topology, label, overrides), [
+            _with_baseline(settings.base_config(
+                workload=w, topology=topology, scale=scale, mechanism=mechanism,
+                mechanism_overrides=overrides, policy=policy, alpha=0.05,
+            ))
+            for w in settings.workloads
+        ])
+        for topology in settings.topologies
+        for label, mechanism, overrides, policy in HETERO_DEPTH_SERIES
+    ]
 
 
 def hetero_depth(
@@ -545,158 +586,34 @@ def hetero_depth(
     differentiation is largest.
     """
     rows = []
-    for topology in settings.topologies:
-        for label, mechanism, overrides, policy in HETERO_DEPTH_SERIES:
-            reductions = []
-            degs = []
-            for workload in settings.workloads:
-                config = _hetero_config(
-                    settings, workload, topology, mechanism, overrides, policy,
-                    scale=scale,
-                )
-                reductions.append(runner.power_reduction_vs_baseline(config))
-                degs.append(runner.degradation_vs_baseline(config))
-            rows.append(
-                (topology, label, overrides, _avg(reductions), _avg(degs), max(degs))
-            )
+    for key, points in _run_cells(runner, _hetero_depth_cells(settings, scale)):
+        degs = [_degradation(managed, baseline) for managed, baseline in points]
+        saved = [_saved(managed, baseline) for managed, baseline in points]
+        rows.append((*key, _avg(saved), _avg(degs), max(degs)))
     return rows
 
 
-def _avg(values) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
-
-
-# ----------------------------------------------------------------------
-# Config enumeration: every simulation a figure needs, up front
-# ----------------------------------------------------------------------
-# The figure functions above pull runs from the runner one at a time,
-# which serializes them even under a ParallelExecutor.  These
-# enumerators list each figure's full grid (duplicates are fine -- the
-# runner dedupes by cache key) so callers can batch-prefetch with
-# ``runner.run_all(figure_configs(name, settings))`` and then build the
-# figure entirely from cache.
-
-def _fp_grid(settings: RunSettings) -> List[ExperimentConfig]:
-    return [
-        _fp_config(settings, workload, topology, scale)
-        for scale in ("small", "big")
-        for topology in settings.topologies
-        for workload in settings.workloads
-    ]
-
-
-def _managed_grid(
-    settings: RunSettings,
-    policies: Sequence[str],
-    mechanisms: Sequence[str] = _UNAWARE_MECHS,
-    alphas: Sequence[float] = _ALPHAS,
-    wake_ns: float = 14.0,
-    with_baselines: bool = False,
-) -> List[ExperimentConfig]:
-    out: List[ExperimentConfig] = []
-    for scale in ("small", "big"):
-        for topology in settings.topologies:
-            for workload in settings.workloads:
-                for mechanism in mechanisms:
-                    for policy in policies:
-                        for alpha in alphas:
-                            cfg = _managed_config(
-                                settings, workload, topology, scale,
-                                mechanism, policy, alpha, wake_ns,
-                            )
-                            out.append(cfg)
-                            if with_baselines:
-                                out.append(cfg.baseline())
-    return out
-
-
-def _fig13_grid(settings: RunSettings) -> List[ExperimentConfig]:
-    return [
-        _managed_config(
-            settings, workload, topology, "big", "VWL", "unaware", 0.05
-        ).replace(collect_link_hours=True)
-        for topology in settings.topologies
-        for workload in settings.workloads
-    ]
-
-
-def _fig16_grid(settings: RunSettings) -> List[ExperimentConfig]:
-    out: List[ExperimentConfig] = []
-    for workload in settings.workloads:
-        for mechanism in _UNAWARE_MECHS:
-            for policy in ("unaware", "aware"):
-                for topology in settings.topologies:
-                    cfg = _managed_config(
-                        settings, workload, topology, "big", mechanism, policy, 0.05
-                    )
-                    out += [cfg, cfg.baseline()]
-    return out
-
-
-def _fig18_grid(settings: RunSettings) -> List[ExperimentConfig]:
-    out: List[ExperimentConfig] = []
-    for scale in ("small", "big"):
-        for mechanism, wake in (("DVFS", 14.0), ("ROO", 20.0), ("DVFS+ROO", 20.0)):
-            for policy in ("unaware", "aware"):
-                for topology in settings.topologies:
-                    for workload in settings.workloads:
-                        cfg = _managed_config(
-                            settings, workload, topology, scale,
-                            mechanism, policy, 0.05, wake,
-                        )
-                        out += [cfg, cfg.baseline()]
-    return out
-
-
-def _hetero_depth_grid(settings: RunSettings) -> List[ExperimentConfig]:
-    out: List[ExperimentConfig] = []
-    for topology in settings.topologies:
-        for _label, mechanism, overrides, policy in HETERO_DEPTH_SERIES:
-            for workload in settings.workloads:
-                cfg = _hetero_config(
-                    settings, workload, topology, mechanism, overrides, policy
-                )
-                out += [cfg, cfg.baseline()]
-    return out
-
-
-def _sec7_grid(settings: RunSettings) -> List[ExperimentConfig]:
-    out: List[ExperimentConfig] = []
-    for topology in settings.topologies:
-        for workload in settings.workloads:
-            static_cfg = settings.base_config(
-                workload=workload, topology=topology, scale="big",
-                mechanism="VWL", policy="static", mapping="interleaved",
-            )
-            aware_cfg = settings.base_config(
-                workload=workload, topology=topology, scale="big",
-                mechanism="VWL", policy="aware", alpha=0.30,
-            )
-            out += [static_cfg, static_cfg.baseline(), aware_cfg, aware_cfg.baseline()]
-    return out
-
-
-#: figure name -> callable(settings) listing every config it simulates.
-#: fig4 is absent (it needs no simulation).
+#: figure name -> callable(settings) listing every config the figure
+#: function runs at its default keywords, in row order.  fig4 is absent
+#: (it needs no simulation).
 FIGURE_CONFIGS: Dict[str, Callable[[RunSettings], List[ExperimentConfig]]] = {
-    "fig5": _fp_grid,
-    "fig6": _fp_grid,
-    "fig8": _fp_grid,
-    "fig9": _fp_grid,
-    "fig11": lambda s: _fp_grid(s) + _managed_grid(s, ("unaware",)),
-    "fig12": lambda s: _managed_grid(s, ("unaware",), with_baselines=True),
-    "fig13": _fig13_grid,
-    "fig15": lambda s: _managed_grid(s, ("aware", "unaware")),
-    "fig16": _fig16_grid,
-    "fig17": lambda s: _managed_grid(s, ("aware", "unaware"), with_baselines=True),
-    "fig18": _fig18_grid,
-    "sec7": _sec7_grid,
-    "hetero-depth": _hetero_depth_grid,
+    "fig5": lambda s: _configs(_fp_cells(s)),
+    "fig6": lambda s: _configs(_fp_cells(s)),
+    "fig8": lambda s: _configs(_fp_cells(s)),
+    "fig9": lambda s: _configs(_fp_cells(s)),
+    "fig11": lambda s: _configs(_fig11_cells(s)),
+    "fig12": lambda s: _configs(_fig12_cells(s)),
+    "fig13": lambda s: _configs(_fig13_cells(s)),
+    "fig15": lambda s: _configs(_fig15_cells(s)),
+    "fig16": lambda s: _configs(_fig16_cells(s)),
+    "fig17": lambda s: _configs(_fig17_cells(s)),
+    "fig18": lambda s: _configs(_fig18_cells(s)),
+    "sec7": lambda s: _configs(_sec7_cells(s)),
+    "hetero-depth": lambda s: _configs(_hetero_depth_cells(s)),
 }
 
 
 def figure_configs(name: str, settings: RunSettings) -> List[ExperimentConfig]:
-    """All configs ``figure(name)`` will request (may contain aliases)."""
+    """Every config the figure ``name`` runs (may repeat a cache key)."""
     enumerate_fn = FIGURE_CONFIGS.get(name)
-    return list(enumerate_fn(settings)) if enumerate_fn is not None else []
+    return enumerate_fn(settings) if enumerate_fn is not None else []

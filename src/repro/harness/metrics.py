@@ -9,7 +9,9 @@ simulation state:
 * **modules traversed per access** (Figure 6);
 * **link-hours by utilization and width mode** (Figure 13);
 * **performance degradation** between a managed run and its full-power
-  baseline (Figures 12/17/18).
+  baseline (Figures 12/17/18);
+* **power reduction** of a managed run against a reference run
+  (Figures 15/16/18).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "LinkHourCollector",
     "UTILIZATION_BUCKETS",
     "performance_degradation",
+    "power_reduction",
 ]
 
 #: Per-direction channel bandwidth: 16 lanes x 12.5 Gbps = 25 bytes/ns.
@@ -116,3 +119,13 @@ def performance_degradation(baseline_throughput: float, managed_throughput: floa
     if baseline_throughput <= 0:
         return 0.0
     return (baseline_throughput - managed_throughput) / baseline_throughput
+
+
+def power_reduction(reference_w: float, managed_w: float) -> float:
+    """Fraction of a reference run's power that a managed run saves.
+
+    0.0 when the reference draws no power.
+    """
+    if reference_w <= 0:
+        return 0.0
+    return 1.0 - managed_w / reference_w

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.harness.experiment import ExperimentConfig
+from repro.harness.metrics import performance_degradation, power_reduction
 from repro.harness.sweep import SweepRunner
 
 __all__ = [
@@ -58,18 +59,23 @@ def sweep_alpha(
     config: ExperimentConfig,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
 ) -> List[TradeoffPoint]:
-    """Measure the trade-off curve of ``config`` across ``alphas``."""
-    points = []
-    for alpha in alphas:
-        cfg = config.replace(alpha=alpha)
-        points.append(
-            TradeoffPoint(
-                alpha=alpha,
-                power_saved=runner.power_reduction_vs_baseline(cfg),
-                degradation=runner.degradation_vs_baseline(cfg),
-            )
+    """Measure the trade-off curve of ``config`` across ``alphas``.
+
+    Every point and the shared full-power baseline run as one batch.
+    """
+    *managed, baseline = runner.results(
+        [config.replace(alpha=alpha) for alpha in alphas] + [config.baseline()]
+    )
+    return [
+        TradeoffPoint(
+            alpha=alpha,
+            power_saved=power_reduction(baseline.network_power_w, run.network_power_w),
+            degradation=performance_degradation(
+                baseline.throughput_per_s, run.throughput_per_s
+            ),
         )
-    return points
+        for alpha, run in zip(alphas, managed)
+    ]
 
 
 def pareto_frontier(points: Sequence[TradeoffPoint]) -> List[TradeoffPoint]:

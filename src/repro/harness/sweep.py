@@ -15,10 +15,11 @@ several worker processes at once).
 
 Because the cache key excludes observability-only fields, a run
 collected with link-hours can stand in for the plain run; the converse
-is handled by :meth:`SweepRunner.run` re-simulating when the caller
-asked for link-hours a cached result does not carry.  Configs with a
-``trace_path`` or ``metrics_path`` always re-simulate: their value is
-the side-effect file, which no cached result can produce.
+is handled by re-simulating when the caller asked for link-hours a
+cached result does not carry.  Configs with a ``trace_path`` or
+``metrics_path`` always re-simulate: their value is the side-effect
+file, which no cached result can produce.  Every lookup goes through
+:meth:`SweepRunner.run_all`; :meth:`SweepRunner.run` is a batch of one.
 
 Hardening: executors report per-config failures as structured
 :class:`~repro.harness.executor.FailedResult` objects instead of
@@ -44,7 +45,7 @@ from repro.harness.executor import (
 )
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.harness.journal import SweepJournal
-from repro.harness.metrics import performance_degradation
+from repro.harness.metrics import performance_degradation, power_reduction
 from repro.store.base import ResultStore
 
 __all__ = ["SweepRunner", "ExperimentFailedError", "grid_configs"]
@@ -53,8 +54,9 @@ __all__ = ["SweepRunner", "ExperimentFailedError", "grid_configs"]
 class ExperimentFailedError(RuntimeError):
     """A single-experiment request could not produce a result.
 
-    Raised by :meth:`SweepRunner.run` (batch APIs return the
-    :class:`FailedResult` in-slot instead).  ``failure`` carries the
+    Raised by :meth:`SweepRunner.run` and :meth:`SweepRunner.results`
+    (:meth:`SweepRunner.run_all` returns the :class:`FailedResult`
+    in-slot instead).  ``failure`` carries the
     structured record: error kind, message, attempt count, config.
     """
 
@@ -97,8 +99,9 @@ class SweepRunner:
 
     Counters: ``runs`` counts actual simulations; ``memory_hits`` /
     ``disk_hits`` / ``journal_hits`` count lookups served by each
-    layer; ``sim_wall_time_s`` accumulates the wall time of the
-    simulations this runner executed (not of cache hits).
+    layer, as if the requests had come one at a time (see
+    :meth:`run_all`); ``sim_wall_time_s`` accumulates the wall time of
+    the simulations this runner executed (not of cache hits).
 
     Failed experiments land in :attr:`failures` keyed by cache key and
     are *not* retried by later lookups in the same runner (the failure
@@ -151,102 +154,73 @@ class SweepRunner:
         """
         return result.link_hours is not None or not config.collect_link_hours
 
-    def _store(self, config: ExperimentConfig, result: ExperimentResult) -> None:
+    def _record(self, config: ExperimentConfig, outcome: ExperimentOutcome) -> None:
+        """Keep a fresh outcome: a result in every tier, a failure in
+        :attr:`failures` (and the journal, either way)."""
         key = config.cache_key()
-        self.cache[key] = result
-        if self.disk_cache is not None:
-            self.disk_cache.put(config, result)
-        if self.journal is not None:
-            self.journal.record_done(key, result)
-        self.runs += 1
-        self.sim_wall_time_s += result.wall_time_s
-
-    def _record_failure(
-        self, config: ExperimentConfig, failure: FailedResult
-    ) -> None:
-        key = config.cache_key()
-        self.failures[key] = failure
-        if self.journal is not None:
-            self.journal.record_failed(key, failure)
-
-    def _outcome(
-        self, config: ExperimentConfig
-    ) -> ExperimentOutcome:
-        """Run one experiment through the executor, recording the outcome."""
-        outcome = self.executor.run(config)
         if isinstance(outcome, FailedResult):
-            self._record_failure(config, outcome)
-        else:
-            self._store(config, outcome)
-        return outcome
+            self.failures[key] = outcome
+            if self.journal is not None:
+                self.journal.record_failed(key, outcome)
+            return
+        self.cache[key] = outcome
+        if self.disk_cache is not None:
+            self.disk_cache.put(config, outcome)
+        if self.journal is not None:
+            self.journal.record_done(key, outcome)
+        self.runs += 1
+        self.sim_wall_time_s += outcome.wall_time_s
 
     def run(self, config: ExperimentConfig) -> ExperimentResult:
-        """Run (or fetch) one experiment.
-
-        Traced configs (``trace_path``/``metrics_path`` set) bypass both
-        cache lookups -- the caller wants the trace file written, and
-        only an actual simulation writes it -- but the result is still
-        stored so subsequent untraced runs hit the cache.
+        """Run (or fetch) one experiment: :meth:`results` of ``[config]``.
 
         Raises :class:`ExperimentFailedError` when the experiment fails
         (after the executor's own retry budget); batch callers should
         prefer :meth:`run_all`, which reports failures in-slot instead
         of raising.
         """
-        key = config.cache_key()
-        if self._traced(config):
-            outcome = self._outcome(config)
+        return self.results([config])[0]
+
+    def results(self, configs: Iterable[ExperimentConfig]) -> List[ExperimentResult]:
+        """:meth:`run_all`, raising :class:`ExperimentFailedError` for
+        the first failed config once the whole batch has run."""
+        out: List[ExperimentResult] = []
+        for outcome in self.run_all(configs):
             if isinstance(outcome, FailedResult):
                 raise ExperimentFailedError(outcome)
-            self.traced_runs += 1
-            return outcome
-        failure = self.failures.get(key)
-        if failure is not None:
-            # Already failed in this runner (budget exhausted): don't
-            # burn wall clock re-running a known-bad config.
-            raise ExperimentFailedError(failure)
-        result = self.cache.get(key)
-        if result is not None and self._satisfies(result, config):
-            self.memory_hits += 1
-            if self.journal is not None:
-                self.journal.record_done(key, result)
-            return result
-        if self.disk_cache is not None:
-            result = self.disk_cache.get(config)
-            if result is not None and self._satisfies(result, config):
-                self.disk_hits += 1
-                self.cache[key] = result
-                if self.journal is not None:
-                    self.journal.record_done(key, result)
-                return result
-        outcome = self._outcome(config)
-        if isinstance(outcome, FailedResult):
-            raise ExperimentFailedError(outcome)
-        return outcome
+            out.append(outcome)
+        return out
 
     def run_all(
         self, configs: Iterable[ExperimentConfig]
     ) -> List[ExperimentOutcome]:
         """Run every config; returns outcomes in input order.
 
-        Cache misses are deduplicated by cache key and handed to the
-        executor as one batch, so a :class:`ParallelExecutor` overlaps
-        them across worker processes.  A config whose simulation fails
-        yields its structured :class:`FailedResult` in-slot (never
-        raises, never aborts the rest of the batch); when a journal is
-        attached, every outcome is checkpointed the moment it resolves,
-        not at batch end.
+        Cache misses are deduplicated by cache key, probed in the disk
+        tier with one ``get_many``, and handed to the executor as one
+        batch, so a :class:`ParallelExecutor` overlaps them across
+        worker processes.  A config whose simulation fails yields its
+        structured :class:`FailedResult` in-slot (never raises, never
+        aborts the rest of the batch); when a journal is attached,
+        every outcome is checkpointed the moment it resolves, not at
+        batch end.
+
+        Traced configs (``trace_path``/``metrics_path``/``audit`` set)
+        bypass every cache -- only an actual simulation writes the
+        trace file -- and simulate once per request, one at a time,
+        after the batch; their results are still stored, so later
+        untraced requests hit the cache.
+
+        Counters read as if the requests had come one at a time: per
+        key fetched or simulated here, the first request counts as a
+        disk hit or a run, and every other answered request as a
+        memory hit.
         """
         configs = list(configs)
+        keys = [config.cache_key() for config in configs]
         pending: Dict[str, ExperimentConfig] = {}
-        for config in configs:
-            if self._traced(config):
-                # Traced configs must re-simulate; the final self.run()
-                # pass handles them (exactly once each) so they never
-                # alias an untraced request to one simulation here.
-                continue
-            key = config.cache_key()
-            if key in self.failures:
+        for config, key in zip(configs, keys):
+            if self._traced(config) or key in self.failures:
                 continue
             cached = self.cache.get(key)
             if cached is not None and self._satisfies(cached, config):
@@ -275,29 +249,39 @@ class SweepRunner:
             # Stream each outcome into the cache/journal as it lands
             # (completion order), so killing the process mid-batch
             # loses at most the in-flight experiments.
-            def _on_result(
-                index: int,
-                config: ExperimentConfig,
-                outcome: ExperimentOutcome,
-            ) -> None:
-                if isinstance(outcome, FailedResult):
-                    self._record_failure(config, outcome)
-                else:
-                    self._store(config, outcome)
+            self.executor.run_many(
+                missing,
+                on_result=lambda _index, config, outcome: self._record(config, outcome),
+            )
+        first = set(pending)
+        answers: List[ExperimentOutcome] = []
+        for config, key in zip(configs, keys):
+            if self._traced(config):
+                continue
+            failure = self.failures.get(key)
+            if failure is not None:
+                answers.append(failure)
+                continue
+            result = self.cache[key]
+            if key in first:
+                first.discard(key)
+            else:
+                self.memory_hits += 1
+            if self.journal is not None:
+                self.journal.record_done(key, result)
+            answers.append(result)
+        untraced = iter(answers)
+        return [
+            self._simulate_traced(config) if self._traced(config) else next(untraced)
+            for config in configs
+        ]
 
-            self.executor.run_many(missing, on_result=_on_result)
-        out: List[ExperimentOutcome] = []
-        for config in configs:
-            if not self._traced(config):
-                failure = self.failures.get(config.cache_key())
-                if failure is not None:
-                    out.append(failure)
-                    continue
-            try:
-                out.append(self.run(config))
-            except ExperimentFailedError as exc:
-                out.append(exc.failure)
-        return out
+    def _simulate_traced(self, config: ExperimentConfig) -> ExperimentOutcome:
+        outcome = self.executor.run(config)
+        self._record(config, outcome)
+        if not isinstance(outcome, FailedResult):
+            self.traced_runs += 1
+        return outcome
 
     # ------------------------------------------------------------------
     # Paired comparisons
@@ -306,29 +290,25 @@ class SweepRunner:
         self, config: ExperimentConfig
     ) -> Tuple[ExperimentResult, ExperimentResult]:
         """(managed result, matching full-power baseline result)."""
-        return self.run(config), self.run(config.baseline())
+        managed, baseline = self.results([config, config.baseline()])
+        return managed, baseline
 
     def power_reduction_vs_baseline(self, config: ExperimentConfig) -> float:
         """Network power saved vs. the full-power run (fraction)."""
         managed, baseline = self.run_with_baseline(config)
-        if baseline.network_power_w <= 0:
-            return 0.0
-        return 1.0 - managed.network_power_w / baseline.network_power_w
+        return power_reduction(baseline.network_power_w, managed.network_power_w)
 
     def io_power_reduction_vs_baseline(self, config: ExperimentConfig) -> float:
         """I/O power saved vs. the full-power run (fraction)."""
         managed, baseline = self.run_with_baseline(config)
-        if baseline.io_power_w <= 0:
-            return 0.0
-        return 1.0 - managed.io_power_w / baseline.io_power_w
+        return power_reduction(baseline.io_power_w, managed.io_power_w)
 
     def idle_io_power_reduction_vs_baseline(self, config: ExperimentConfig) -> float:
         """Idle-I/O power saved vs. the full-power run (fraction)."""
         managed, baseline = self.run_with_baseline(config)
-        base = baseline.breakdown.watts["idle_io"]
-        if base <= 0:
-            return 0.0
-        return 1.0 - managed.breakdown.watts["idle_io"] / base
+        return power_reduction(
+            baseline.breakdown.watts["idle_io"], managed.breakdown.watts["idle_io"]
+        )
 
     def degradation_vs_baseline(self, config: ExperimentConfig) -> float:
         """Throughput degradation vs. the full-power run (fraction)."""
@@ -341,8 +321,5 @@ class SweepRunner:
         self, config_a: ExperimentConfig, config_b: ExperimentConfig
     ) -> float:
         """Network power reduction of ``config_a`` relative to ``config_b``."""
-        a = self.run(config_a)
-        b = self.run(config_b)
-        if b.network_power_w <= 0:
-            return 0.0
-        return 1.0 - a.network_power_w / b.network_power_w
+        a, b = self.results([config_a, config_b])
+        return power_reduction(b.network_power_w, a.network_power_w)

@@ -69,7 +69,7 @@ class TestSerialExecutor:
 
 
 class TestParallelExecutor:
-    def test_single_config_runs_inline(self):
+    def test_single_config_runs_in_one_worker(self):
         res = ParallelExecutor(jobs=4).run_many(
             [ExperimentConfig(workload="sp.D", **FAST)]
         )

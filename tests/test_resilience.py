@@ -125,6 +125,24 @@ class TestSerialHardening:
         assert results[0].wall_time_s >= 1.5
         assert not isinstance(results[1], FailedResult)
 
+    def test_isolated_batch_reuses_one_worker(self, monkeypatch):
+        import repro.harness.executor as executor_module
+
+        class CountingLock:
+            taken = 0
+
+            def __enter__(self):
+                CountingLock.taken += 1
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(executor_module, "_FORK_LOCK", CountingLock())
+        configs = [OK1, OK2, OK1.replace(seed=3)]
+        results = SerialExecutor(isolate=True).run_many(configs)
+        assert CountingLock.taken == 1  # one worker forked for the batch
+        assert [r.config for r in results] == configs
+
     def test_isolated_results_bit_identical_to_inline(self):
         inline = SerialExecutor().run_many([OK1, OK2])
         isolated = SerialExecutor(isolate=True).run_many([OK1, OK2])

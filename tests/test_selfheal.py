@@ -321,12 +321,12 @@ class TestSupervisor:
 
         monkeypatch.setattr(service_module, "DEGRADED_HOLD_S", 1.0)
         service = make_service()
-        service.executor.heartbeat("pool_rebuild")
+        service.executor.heartbeat("worker_restart")
         health = service.health()
         assert health["status"] == "degraded"
         assert health["live"] and health["ready"]
         assert health["supervisor"] == {"state": "degraded",
-                                        "reason": "pool_rebuild"}
+                                        "reason": "worker_restart"}
         time.sleep(1.2)
         assert service.health()["status"] == "healthy"
         assert service.drain(timeout=10)
@@ -428,7 +428,7 @@ class TestSupervisedService:
         assert stats["state"] == "degraded"
         assert stats["reason"] == "worker_restart"
         assert serial.drain(timeout=10)
-        # A worker death breaks the pool: one pool_rebuild.
+        # A worker death under a pool: one worker_restart.
         pool = make_service(executor=ParallelExecutor(jobs=2, backoff_s=0.01),
                             batch_window_s=0.2)
         tickets = [pool.submit(DIE), pool.submit(OK1)]
