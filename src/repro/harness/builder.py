@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.core.mechanisms import MechanismConfig, make_mechanism
 from repro.core.overrides import LinkMechanism, resolve_link_mechanisms
-from repro.core.policy import make_policy
+from repro.core.policy import ManagementPolicy, make_policy
 from repro.dram.timing import DEFAULT_TIMING, DramTiming
 from repro.network.network import MemoryNetwork
 from repro.network.topology import Topology, build_topology
@@ -236,6 +236,10 @@ class SimulationBuilder:
             simulation.policy = make_policy(
                 config.policy, network, config.alpha, config.epoch_ns
             )
+        if not self._policy_observes(simulation.policy):
+            # Only an epoch loop reads the links' epoch counters.
+            for link in network.all_links():
+                link.epoch_counters = False
 
         if self._observability:
             self._build_observability(simulation)
@@ -328,7 +332,4 @@ class SimulationBuilder:
     @staticmethod
     def _policy_observes(policy: Optional[Any]) -> bool:
         """Whether ``policy`` runs an epoch loop that can feed observers."""
-        from repro.core.aware import NetworkAwarePolicy
-        from repro.core.unaware import NetworkUnawarePolicy
-
-        return isinstance(policy, (NetworkUnawarePolicy, NetworkAwarePolicy))
+        return isinstance(policy, ManagementPolicy)

@@ -184,6 +184,11 @@ class LinkController:
         "transmitting",
         "_seg_start",
         "_sleep_blocked",
+        # the packet on the wire, its SERDES delay and the callback
+        # that finishes every transmission
+        "_tx_pkt",
+        "_tx_serdes",
+        "_finish_cb",
         # lifetime stats
         "mode_time_ns",
         "off_time_ns",
@@ -198,6 +203,7 @@ class LinkController:
         "retry_flits",
         "retry_time_ns",
         # epoch counters
+        "epoch_counters",
         "ams",
         "violated",
         "grants_used",
@@ -290,6 +296,10 @@ class LinkController:
         self.transmitting = False
         self._seg_start = 0.0
         self._sleep_blocked = False
+        self._tx_pkt: Optional[Packet] = None
+        self._tx_serdes = 0.0
+        #: The one completion callback every transmission schedules.
+        self._finish_cb = self._finish_tx
 
         n_modes = len(mech.width_modes)
         self.mode_time_ns = [0.0] * n_modes
@@ -315,6 +325,11 @@ class LinkController:
         #: Wire time spent on retry turnaround + retransmissions (ns).
         self.retry_time_ns = 0.0
 
+        #: Whether arrivals and read completions update the epoch
+        #: counters below.  :class:`~repro.harness.builder.SimulationBuilder`
+        #: clears it on every link of a run without an epoch policy,
+        #: since nothing reads the counters there.
+        self.epoch_counters = True
         self.ams = float("inf")
         self.violated = False
         self.grants_used = 0
@@ -388,12 +403,6 @@ class LinkController:
     # ------------------------------------------------------------------
     # Energy accounting
     # ------------------------------------------------------------------
-    def _power_fraction_now(self, now: float) -> float:
-        if self.is_off:
-            return self.mech.off_power_fraction
-        _ft, _sd, power = self._effective_width(now)
-        return power
-
     def accrue(self, now: float) -> None:
         """Charge energy for the segment since the last state change."""
         seg = self._seg_start
@@ -401,9 +410,9 @@ class LinkController:
         if dt <= 0:
             self._seg_start = now
             return
-        # Inlined _power_fraction_now(seg): this runs twice per packet
-        # transmission, and the call + _effective_width indirection cost
-        # more than the whole energy computation.  The arithmetic is
+        # The power fraction at ``seg`` is worked out inline: this runs
+        # twice per packet transmission, and a call to _effective_width
+        # cost more than the whole energy computation.  The arithmetic is
         # bit-identical: multiplying by 2.0 then 0.5 is an exact no-op
         # in binary floating point, so ``half`` below equals the
         # historical ``(2.0 * endpoint_w * frac * dt * 1e-9) * 0.5``.
@@ -476,17 +485,11 @@ class LinkController:
     # ------------------------------------------------------------------
     def enqueue(self, pkt: Packet, now: float) -> None:
         """Accept ``pkt`` at the controller at time ``now``."""
-        pkt.link_arrival = now
-        was_idle = not self.transmitting and not self.read_q and not self.write_q
-        if was_idle:
-            self._record_idle_interval(now - self._idle_since)
-
+        if self.epoch_counters:
+            self._count_arrival(pkt, now)
         if pkt.is_read:
-            self._update_delay_monitors(pkt, now)
-            self._update_wake_sampling(now)
             self.read_q.append(pkt)
         else:
-            self._advance_virtual_queues(pkt, now)
             self.write_q.append(pkt)
 
         if self.is_off:
@@ -498,12 +501,36 @@ class LinkController:
             # _finish_tx re-arms the link anyway.
             self.try_start(now)
 
-    def _update_delay_monitors(self, pkt: Packet, now: float) -> None:
-        """Per-mode virtual queues (delay monitor + counter of Ahn'14)."""
+    def _count_arrival(self, pkt: Packet, now: float) -> None:
+        """Fold an arrival into the epoch counters, before it queues.
+
+        An arrival at an idle link closes an idle interval (RAMZzz
+        histogram).  Every packet occupies the per-mode virtual queues
+        of the Ahn'14 delay monitor; reads also add their estimated
+        latency per mode, the response link's queuing (QD/QF) against
+        the full-power monitor, and a wake-window sample.
+        """
+        pkt.link_arrival = now
+        if not self.transmitting and not self.read_q and not self.write_q:
+            length = now - self._idle_since
+            if length > 0:
+                idx = -1
+                for i, edge in enumerate(_HIST_EDGES):
+                    if length >= edge:
+                        idx = i
+                    else:
+                        break
+                if idx >= 0:
+                    self.ep_hist_counts[idx] += 1
+                    self.ep_hist_sums[idx] += length
         flits = pkt.flits
         vfree = self.ep_vfree
-        vlat = self.ep_vlat
         flit_times = self._flit_times
+        if not pkt.is_read:
+            for i in range(self._n_modes):
+                start = vfree[i] if vfree[i] > now else now
+                vfree[i] = start + flits * flit_times[i]
+            return
         # Track response-link queuing against the *full power* monitor.
         if self.direction is LinkDir.RESPONSE and pkt.kind is PacketKind.READ_RESP:
             self.ep_resp_packets += 1
@@ -514,62 +541,30 @@ class LinkController:
         # SERDES latency is pipelined (adds delay, not occupancy): the
         # virtual queue advances by serialization time only.
         serdes = self._serdes_times
-        if self._n_modes == 1:
-            # Single-width mechanisms (FP, ROO) dominate the fig5/fig9
-            # pipelines; skip the loop machinery for them.
-            v0 = vfree[0]
-            start = v0 if v0 > now else now
-            done = start + flits * flit_times[0]
-            vfree[0] = done
-            vlat[0] += (done + serdes[0]) - now
-        else:
-            for i in range(self._n_modes):
-                start = vfree[i] if vfree[i] > now else now
-                done = start + flits * flit_times[i]
-                vfree[i] = done
-                vlat[i] += (done + serdes[i]) - now
+        vlat = self.ep_vlat
+        for i in range(self._n_modes):
+            start = vfree[i] if vfree[i] > now else now
+            done = start + flits * flit_times[i]
+            vfree[i] = done
+            vlat[i] += (done + serdes[i]) - now
         self.ep_reads += 1
 
-    def _advance_virtual_queues(self, pkt: Packet, now: float) -> None:
-        """Writes occupy the virtual queues but add no read latency."""
-        flits = pkt.flits
-        vfree = self.ep_vfree
-        flit_times = self._flit_times
-        if self._n_modes == 1:
-            v0 = vfree[0]
-            start = v0 if v0 > now else now
-            vfree[0] = start + flits * flit_times[0]
-        else:
-            for i in range(self._n_modes):
-                start = vfree[i] if vfree[i] > now else now
-                vfree[i] = start + flits * flit_times[i]
-
-    def _update_wake_sampling(self, now: float) -> None:
         if now <= self._sample_end:
             self._sample_arrivals += 1
             return
         if self._sample_end >= 0:
-            self._samples_total += self._sample_arrivals
-            self._samples_n += 1
-            self._sample_end = -1.0
-            self._sample_arrivals = 0
+            self._close_sample()
         self._arrivals_since_sample += 1
         if self._arrivals_since_sample >= _SAMPLE_PERIOD:
             self._arrivals_since_sample = 0
             self._sample_end = now + self.mech.wake_ns
 
-    def _record_idle_interval(self, length: float) -> None:
-        if length <= 0:
-            return
-        idx = -1
-        for i, edge in enumerate(_HIST_EDGES):
-            if length >= edge:
-                idx = i
-            else:
-                break
-        if idx >= 0:
-            self.ep_hist_counts[idx] += 1
-            self.ep_hist_sums[idx] += length
+    def _close_sample(self) -> None:
+        """Fold the open wake-window sample into the running average."""
+        self._samples_total += self._sample_arrivals
+        self._samples_n += 1
+        self._sample_end = -1.0
+        self._sample_arrivals = 0
 
     # -- transmission --------------------------------------------------
     def try_start(self, now: float) -> None:
@@ -627,23 +622,20 @@ class LinkController:
                 # Degraded lanes: every flit serializes slower.
                 flit_time *= scale
                 faults.degraded_tx += 1
+        self._tx_pkt = pkt
+        self._tx_serdes = serdes
         # Inlined sim.schedule_at (one event per transmitted packet):
         # tx_done >= now by construction, so the past/NaN guard in
         # schedule_at can never fire here.
         sim = self.sim
-        heappush(
-            sim._queue,
-            (
-                now + pkt.flits * flit_time,
-                sim._seq,
-                lambda: self._finish_tx(pkt, serdes),
-            ),
-        )
+        heappush(sim._queue, (now + pkt.flits * flit_time, sim._seq, self._finish_cb))
         sim._seq += 1
 
-    def _finish_tx(self, pkt: Packet, serdes: float) -> None:
+    def _finish_tx(self) -> None:
+        """The last flit of the packet on the wire has been sent."""
         now = self.sim.now
         self.accrue(now)
+        pkt = self._tx_pkt
         faults = self.faults
         if faults is not None and faults.crc_error(now):
             # HMC-style link retry: the receiver's CRC check failed, so
@@ -661,21 +653,19 @@ class LinkController:
                     now, "fault", "link.retry",
                     link=self.name, flits=pkt.flits, retries=self.retries,
                 )
-            self.sim.schedule_at(
-                now + faults.retry_ns, lambda: self._retransmit(pkt)
-            )
+            self.sim.schedule_at(now + faults.retry_ns, self._retransmit)
             return
         self.transmitting = False
         flits = pkt.flits
         self.flits_tx += flits
         self.ep_flits += flits
         self.packets_tx += 1
-        # pkt.is_read is the construction-time cache of kind.is_read
-        # (READ_REQ or READ_RESP, i.e. not WRITE_REQ).
-        if pkt.is_read:
+        serdes = self._tx_serdes
+        if pkt.is_read and self.epoch_counters:
             self.ep_actual_read_lat += (now + serdes) - pkt.link_arrival
             self._check_violation()
-        if not self.read_q and not self.write_q:
+        idle = not self.read_q and not self.write_q
+        if idle:
             # Inlined _became_idle's no-ROO early-out (FP and width-only
             # mechanisms never arm a sleep timer).
             if self.roo_idx is None or not self.roo_enabled:
@@ -691,10 +681,13 @@ class LinkController:
             waiters, self._blocked_upstreams = self._blocked_upstreams, []
             for ctrl in waiters:
                 ctrl.try_start(now)
-        self.try_start(now)
+        # An idle link has nothing to start: only enqueue adds packets,
+        # and it starts the link itself.
+        if not idle:
+            self.try_start(now)
 
-    def _retransmit(self, pkt: Packet) -> None:
-        """Replay ``pkt`` from the retry buffer after a CRC error.
+    def _retransmit(self) -> None:
+        """Replay the packet on the wire from the retry buffer after a CRC error.
 
         Timing parameters are re-read at retransmission time so a width
         transition or degrade window that began mid-recovery applies to
@@ -702,26 +695,17 @@ class LinkController:
         already on the wire from the flow-control point of view.
         """
         now = self.sim.now
-        if now < self._trans_until:
-            flit_time, serdes, _power = self._effective_width(now)
-        else:
-            w = self.width_idx
-            flit_time = self._flit_times[w]
-            serdes = self._serdes_times[w]
+        flit_time, serdes, _power = self._effective_width(now)
         faults = self.faults
-        if faults is not None:
-            scale = faults.flit_scale(now)
-            if scale != 1.0:
-                flit_time *= scale
-                faults.degraded_tx += 1
-            tx = pkt.flits * flit_time
-            self.retry_time_ns += faults.retry_ns + tx
-        else:  # pragma: no cover - replays only exist with faults set
-            tx = pkt.flits * flit_time
+        scale = faults.flit_scale(now)
+        if scale != 1.0:
+            flit_time *= scale
+            faults.degraded_tx += 1
+        tx = self._tx_pkt.flits * flit_time
+        self.retry_time_ns += faults.retry_ns + tx
+        self._tx_serdes = serdes
         sim = self.sim
-        heappush(
-            sim._queue, (now + tx, sim._seq, lambda: self._finish_tx(pkt, serdes))
-        )
+        heappush(sim._queue, (now + tx, sim._seq, self._finish_cb))
         sim._seq += 1
 
     def release_reservation(self) -> None:
@@ -991,14 +975,9 @@ class LinkController:
         if not self.transmitting and not self.read_q and not self.write_q:
             self._idle_since = now
         if self._sample_end >= 0:
-            self._samples_total += self._sample_arrivals
-            self._samples_n += 1
-            self._sample_end = -1.0
-            self._sample_arrivals = 0
-        n = len(self.mech.width_modes)
-        self.ep_vfree = [max(v, now) for v in self.ep_vfree]
-        base = max(self.ep_vfree[0], now)
-        self.ep_vfree = [base] * n
+            self._close_sample()
+        n = self._n_modes
+        self.ep_vfree = [max(self.ep_vfree[0], now)] * n
         self.ep_vlat = [0.0] * n
         self.ep_actual_read_lat = 0.0
         self.ep_reads = 0

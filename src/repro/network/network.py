@@ -296,7 +296,7 @@ class MemoryNetwork:
 
     def _at_destination(self, i: int, pkt: Packet, now: float) -> None:
         module = self.modules[i]
-        is_read = pkt.kind is PacketKind.READ_REQ
+        is_read = pkt.is_read
         if is_read:
             module.ep_dram_reads += 1
             module.dram_reads += 1

@@ -42,28 +42,21 @@ class PacketKind(enum.Enum):
     WRITE_REQ = "write_req"
     READ_RESP = "read_resp"
 
-    @property
-    def is_read(self) -> bool:
-        """Whether this packet belongs to a read transaction."""
-        return self in (PacketKind.READ_REQ, PacketKind.READ_RESP)
-
-    @property
-    def is_request(self) -> bool:
-        """Whether this packet travels on request (downstream) links."""
-        return self in (PacketKind.READ_REQ, PacketKind.WRITE_REQ)
-
-
-#: Flit counts per packet kind, per Section II-B.
-_FLITS = {
-    PacketKind.READ_REQ: 1,
-    PacketKind.WRITE_REQ: 1 + LINE_BYTES // FLIT_BYTES,
-    PacketKind.READ_RESP: 1 + LINE_BYTES // FLIT_BYTES,
-}
+    def __init__(self, value: str) -> None:
+        # Plain member attributes rather than a dict keyed by kind:
+        # ``Enum.__hash__`` is a Python-level call, and every packet
+        # reads these at construction.
+        #: Whether this packet belongs to a read transaction.
+        self.is_read = value != "write_req"
+        #: Whether this packet travels on request (downstream) links.
+        self.is_request = value != "read_resp"
+        #: Flit count per Section II-B: only a read request has no data.
+        self.flits = 1 if value == "read_req" else 1 + LINE_BYTES // FLIT_BYTES
 
 
 def flits_for(kind: PacketKind) -> int:
     """Number of flits a packet of ``kind`` occupies."""
-    return _FLITS[kind]
+    return kind.flits
 
 
 _packet_ids = itertools.count()
@@ -93,7 +86,7 @@ class Packet:
         used to resume the stream when the read completes.
     link_arrival:
         Time the packet arrived at the link controller it currently
-        queues at.
+        queues at (recorded while that link keeps epoch counters).
     dram_start:
         Time the DRAM access for this transaction started (responses
         only).
@@ -133,8 +126,8 @@ class Packet:
         self.pkt_id: int = next(_packet_ids)
         self.link_arrival: float = 0.0
         self.dram_start: Optional[float] = None
-        self.flits: int = _FLITS[kind]
-        self.is_read: bool = kind is not PacketKind.WRITE_REQ
+        self.flits: int = kind.flits
+        self.is_read: bool = kind.is_read
 
     @property
     def bytes(self) -> int:

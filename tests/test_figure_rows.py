@@ -174,6 +174,27 @@ def test_figure_runs_its_grid_in_one_batch(group, name):
     assert set(batch) == {c.cache_key() for c in F.figure_configs(name, settings)}
 
 
+@pytest.mark.parametrize("group", sorted(SETTINGS))
+def test_every_fig13_run_asks_for_link_hours(group):
+    settings = SETTINGS[group]
+    fig13 = {c.cache_key() for c in F.figure_configs("fig13", settings)}
+    lacking = [
+        (name, config.cache_key())
+        for name in F.FIGURE_CONFIGS
+        for config in F.figure_configs(name, settings)
+        if config.cache_key() in fig13 and not config.collect_link_hours
+    ]
+    assert lacking == []
+
+
+@pytest.mark.parametrize("group, simulations", [("default", 688), ("seed97", 344)])
+def test_suite_simulates_each_key_once(group, simulations):
+    runner = SweepRunner(executor=SyntheticExecutor())
+    for function in FIGURES.values():
+        function(runner, SETTINGS[group])
+    assert runner.runs == simulations
+
+
 def test_sweep_alpha_runs_points_and_baseline_in_one_batch():
     executor = SyntheticExecutor()
     config = ExperimentConfig(workload="sp.D", mechanism="VWL", policy="aware")

@@ -114,6 +114,7 @@ class TestScatter:
         policy._gather()
         pools = {LinkDir.REQUEST: -1e6, LinkDir.RESPONSE: -1e6}
         policy._scatter(pools)
+        assert any(m.req_in.ep_reads > 0 for m in net.modules)
         for m in net.modules:
             # Busy links with negative budgets cannot leave full power.
             if m.req_in.ep_reads > 0:

@@ -88,6 +88,7 @@ def test_fel_matches_ael_at_full_power(n, seed):
     aggregate read latency matches the measurement on every link that
     carried only reads (writes reorder behind reads in the real queue)."""
     sim, net, _r, _w = run_random_traffic("daisychain", n, "FP", 150, seed)
+    assert any(link.ep_reads for link in net.all_links())
     for link in net.all_links():
         if link.ep_reads and link.write_q is not None:
             # FEL can differ when writes interleave (read priority);
