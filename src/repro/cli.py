@@ -53,7 +53,7 @@ from repro.harness.executor import FailedResult, make_executor
 from repro.harness.experiment import ExperimentConfig, POLICY_NAMES
 from repro.harness import figures as F
 from repro.harness.journal import SweepJournal
-from repro.harness.metrics import power_reduction
+from repro.harness.metrics import performance_degradation, power_reduction
 from repro.harness.report import format_table, render_run_summary
 from repro.harness.sweep import ExperimentFailedError, SweepRunner
 from repro.obs import ALL_CATEGORIES, TRACE_FORMATS
@@ -87,15 +87,23 @@ def _make_executor_from_args(args):
         raise SystemExit(f"error: {exc}")
 
 
+def _make_journal_from_args(args):
+    """The journal selected by ``--journal``/``--resume`` (None without one)."""
+    path = getattr(args, "journal", None)
+    resume = getattr(args, "resume", False)
+    if resume and not path:
+        raise SystemExit("error: --resume requires --journal PATH")
+    return SweepJournal(path, resume=resume) if path else None
+
+
 def _make_runner(args) -> SweepRunner:
     """A SweepRunner honouring the shared execution flags."""
     executor = _make_executor_from_args(args)
     disk = _make_store_from_args(args)
     runner = SweepRunner(executor=executor, disk_cache=disk)
-    if getattr(args, "resume", False) and not getattr(args, "journal", None):
-        raise SystemExit("error: --resume requires --journal PATH")
-    if getattr(args, "journal", None):
-        runner.attach_journal(SweepJournal(args.journal, resume=args.resume))
+    journal = _make_journal_from_args(args)
+    if journal is not None:
+        runner.attach_journal(journal)
     return runner
 
 
@@ -187,7 +195,7 @@ def _cmd_run(args) -> int:
     if args.baseline and config.policy != "none":
         base = runner.run(config.baseline())
         saved = power_reduction(base.network_power_w, result.network_power_w)
-        deg = 1 - result.throughput_per_s / base.throughput_per_s
+        deg = performance_degradation(base.throughput_per_s, result.throughput_per_s)
         print()
         print(f"vs full power: {saved:+.1%} network power, {deg:+.2%} throughput cost")
     if args.trace:
@@ -593,7 +601,7 @@ def _cmd_trace(args) -> int:
         window_ns=args.window_us * 1000.0,
         seed=args.seed,
     )
-    simulation = SimulationBuilder(config).without_observability().build()
+    simulation = SimulationBuilder(config).build()
     network = simulation.network
     recorder = TraceRecorder(network)
     simulation.run()
@@ -746,11 +754,7 @@ def _cmd_serve(args) -> int:
 
     executor = _make_executor_from_args(args)
     disk = _make_store_from_args(args)
-    if args.resume and not args.journal:
-        raise SystemExit("error: --resume requires --journal PATH")
-    journal = (
-        SweepJournal(args.journal, resume=args.resume) if args.journal else None
-    )
+    journal = _make_journal_from_args(args)
     try:
         settings = ServiceSettings(
             queue_limit=args.queue_limit,

@@ -24,15 +24,17 @@ width/frequency mode and an idleness threshold simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.registry import Registry
+from repro.units import gbps_lane_to_bytes_per_ns
 
 __all__ = [
     "FULL_LANES",
     "FLIT_TIME_FULL_NS",
     "SERDES_FULL_NS",
+    "CHANNEL_BYTES_PER_NS",
     "ROO_THRESHOLDS_NS",
     "ROO_FULL_POWER_THRESHOLD_NS",
     "WidthMode",
@@ -51,6 +53,9 @@ FULL_LANES: int = 16
 FLIT_TIME_FULL_NS: float = 0.64
 #: SERDES (serialize/deserialize) latency at full I/O frequency.
 SERDES_FULL_NS: float = 3.2
+#: Bandwidth of one full-width unidirectional link (the processor
+#: channel, per direction): 16 lanes x 12.5 Gbps = 25 bytes/ns.
+CHANNEL_BYTES_PER_NS: float = gbps_lane_to_bytes_per_ns(12.5, FULL_LANES)
 
 #: ROO idleness thresholds, highest power (longest threshold) first.
 ROO_THRESHOLDS_NS: Tuple[float, ...] = (2048.0, 512.0, 128.0, 32.0)

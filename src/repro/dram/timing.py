@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.units import GB
+
 __all__ = ["DramTiming", "DEFAULT_TIMING"]
 
 
@@ -21,7 +23,7 @@ __all__ = ["DramTiming", "DEFAULT_TIMING"]
 class DramTiming:
     """Timing and organization parameters of one HMC's DRAM (Table I)."""
 
-    capacity_bytes: int = 4 * 1024**3
+    capacity_bytes: int = 4 * GB
     vaults: int = 32
     banks_per_vault: int = 8
     vault_data_rate_gbps: float = 2.0
@@ -66,11 +68,6 @@ class DramTiming:
     def read_bank_occupancy_ns(self) -> float:
         """Bank busy time per close-page read: full row cycle tRAS + tRP."""
         return self.tRAS + self.tRP
-
-    @property
-    def write_bank_occupancy_ns(self) -> float:
-        """Bank busy time per close-page write: tRCD + burst + tWR + tRP."""
-        return self.tRCD + self.burst_ns + self.tWR + self.tRP
 
     @property
     def max_accesses_per_ns(self) -> float:

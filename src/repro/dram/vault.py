@@ -43,11 +43,6 @@ class VaultAccess:
         self.data_ready = data_ready
         self.done = done
 
-    @property
-    def latency_from(self) -> float:
-        """Data-ready latency measured from ``start``."""
-        return self.data_ready - self.start
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"VaultAccess(start={self.start}, data_ready={self.data_ready}, "

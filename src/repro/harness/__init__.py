@@ -1,6 +1,6 @@
 """Experiment harness: runners, sweeps, metrics, figure reproduction."""
 
-from repro.harness.builder import Simulation, SimulationBuilder, build_network
+from repro.harness.builder import Simulation, SimulationBuilder
 from repro.harness.executor import (
     Executor,
     ExperimentOutcome,
@@ -55,7 +55,6 @@ __all__ = [
     "run_experiment",
     "Simulation",
     "SimulationBuilder",
-    "build_network",
     "POLICY_NAMES",
     "OBSERVABILITY_FIELDS",
     "RunSettings",

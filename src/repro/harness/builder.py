@@ -1,23 +1,17 @@
 """Simulation assembly: one composition pipeline for every harness.
 
-Historically :func:`repro.harness.experiment.run_experiment`, the
-multichannel runner, the perf scenarios, and the CLI trace command each
-wired topology -> network -> workload -> policy -> faults -> observers
-by hand, and every new cross-cutting concern (fault injection, tracing,
-per-link mechanism overrides) had to be threaded through each copy.
-:class:`SimulationBuilder` is now the only place that ordering lives:
+:class:`SimulationBuilder` is the only place the stage order lives:
 
     sabotage -> profile -> mapping -> topology -> mechanism ->
-    link overrides -> network -> faults -> policy -> observability ->
-    workload
+    link overrides -> network -> workload -> faults -> policy ->
+    observability
 
 ``build()`` returns a :class:`Simulation` bundle exposing every
-assembled part, so callers that only need a subset (a bench driving the
-network directly, the trace recorder) still go through the same
-pipeline and stay bit-identical to the full harness.  Partial consumers
-that have no :class:`ExperimentConfig` at all (synthetic mappings,
-hand-rolled traffic) use :func:`build_network`, the shared low-level
-network assembly step.
+assembled part, so callers that read only some of it (a bench driving
+the workload's address stream, the trace recorder) still go through the
+same pipeline and stay bit-identical to the full harness.  Callers with
+no :class:`ExperimentConfig` at all (synthetic mappings, hand-rolled
+traffic) construct ``MemoryNetwork(Simulator(), ...)`` directly.
 """
 
 from __future__ import annotations
@@ -29,10 +23,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 from repro.core.mechanisms import MechanismConfig, make_mechanism
 from repro.core.overrides import LinkMechanism, resolve_link_mechanisms
 from repro.core.policy import ManagementPolicy, make_policy
-from repro.dram.timing import DEFAULT_TIMING, DramTiming
 from repro.network.network import MemoryNetwork
 from repro.network.topology import Topology, build_topology
-from repro.power.hmc_power import DEFAULT_POWER_MODEL, HmcPowerModel
 from repro.sim.engine import Simulator
 from repro.workloads.generator import ClosedLoopWorkload
 from repro.workloads.mapping import make_mapping
@@ -41,35 +33,7 @@ from repro.workloads.profiles import WorkloadProfile, get_profile
 if TYPE_CHECKING:  # import-cycle-free type hints only
     from repro.harness.experiment import ExperimentConfig
 
-__all__ = ["Simulation", "SimulationBuilder", "build_network"]
-
-
-def build_network(
-    topology: Topology,
-    mechanism: MechanismConfig,
-    mapping: Any,
-    sim: Optional[Simulator] = None,
-    power_model: HmcPowerModel = DEFAULT_POWER_MODEL,
-    timing: DramTiming = DEFAULT_TIMING,
-    roo_enabled: bool = True,
-    link_mechanisms: Optional[Dict[str, MechanismConfig]] = None,
-) -> MemoryNetwork:
-    """Assemble a :class:`MemoryNetwork` (creating a simulator if needed).
-
-    The shared network-assembly step for callers without a full
-    :class:`ExperimentConfig` -- benches and tools that inject traffic
-    by hand.  The simulator is reachable as ``network.sim``.
-    """
-    return MemoryNetwork(
-        sim if sim is not None else Simulator(),
-        topology,
-        mechanism,
-        mapping,
-        power_model=power_model,
-        timing=timing,
-        roo_enabled=roo_enabled,
-        link_mechanisms=link_mechanisms,
-    )
+__all__ = ["Simulation", "SimulationBuilder"]
 
 
 @dataclass
@@ -90,6 +54,7 @@ class Simulation:
     link_mechanisms: Dict[str, LinkMechanism]
     sim: Simulator
     network: MemoryNetwork
+    workload: ClosedLoopWorkload
     fault_plan: Optional[Any] = None
     policy: Optional[Any] = None
     collector: Optional[Any] = None
@@ -98,7 +63,6 @@ class Simulation:
     #: Per-epoch invariant auditor (``config.audit`` non-empty and a
     #: managed policy); end-of-run audit happens either way.
     auditor: Optional[Any] = None
-    workload: Optional[ClosedLoopWorkload] = None
     #: Wall-clock instant assembly started (for run instrumentation).
     build_started: float = field(default_factory=time.perf_counter)
 
@@ -107,8 +71,7 @@ class Simulation:
         self.network.start()
         if self.policy is not None:
             self.policy.start()
-        if self.workload is not None:
-            self.workload.start()
+        self.workload.start()
         self.sim.run(until=self.config.window_ns)
         self.network.finalize(self.config.window_ns)
 
@@ -116,65 +79,25 @@ class Simulation:
 class SimulationBuilder:
     """Builds a :class:`Simulation` from an :class:`ExperimentConfig`.
 
-    Chainable ``with_*`` overrides swap individual parts (a custom
-    policy factory for ablations, a pre-built mapping for benches)
-    without disturbing the rest of the pipeline; ``without_*`` toggles
-    skip optional stages entirely.
+    ``policy_factory``, if given, replaces ``config.policy`` (the
+    ablation benchmarks run modified network-aware variants this way):
+    it is called as ``policy_factory(network, alpha, epoch_ns)`` and
+    must return an object with ``start()``.
     """
 
-    def __init__(self, config: "ExperimentConfig") -> None:
+    def __init__(
+        self, config: "ExperimentConfig", policy_factory: Optional[Callable] = None
+    ) -> None:
         self.config = config
-        self._policy_factory: Optional[Callable] = None
-        self._power_model: HmcPowerModel = DEFAULT_POWER_MODEL
-        self._timing: DramTiming = DEFAULT_TIMING
-        self._faults = True
-        self._observability = True
-        self._workload = True
+        self.policy_factory = policy_factory
 
-    # ------------------------------------------------------------------
-    # Chainable configuration
-    # ------------------------------------------------------------------
-    def with_policy_factory(self, factory: Optional[Callable]) -> "SimulationBuilder":
-        """Override ``config.policy``: called as ``factory(network, alpha,
-        epoch_ns)`` and must return an object with ``start()``."""
-        self._policy_factory = factory
-        return self
-
-    def with_power_model(self, model: HmcPowerModel) -> "SimulationBuilder":
-        """Substitute a custom power model (default: ``DEFAULT_POWER_MODEL``)."""
-        self._power_model = model
-        return self
-
-    def with_timing(self, timing: DramTiming) -> "SimulationBuilder":
-        """Substitute custom DRAM timing parameters."""
-        self._timing = timing
-        return self
-
-    def without_faults(self) -> "SimulationBuilder":
-        """Skip the fault-injection stage even if the config requests faults."""
-        self._faults = False
-        return self
-
-    def without_observability(self) -> "SimulationBuilder":
-        """Skip tracing/metrics/audit wiring (bare simulation only)."""
-        self._observability = False
-        return self
-
-    def without_workload(self) -> "SimulationBuilder":
-        """Build the network and policy but attach no traffic generator."""
-        self._workload = False
-        return self
-
-    # ------------------------------------------------------------------
-    # Assembly
-    # ------------------------------------------------------------------
     def build(self) -> Simulation:
         """Run every stage in order and return the assembled bundle."""
         started = time.perf_counter()
         config = self.config
 
         fault_spec = None
-        if self._faults and config.fault_spec:
+        if config.fault_spec:
             from repro.faults import execute_sabotage, parse_fault_spec
 
             fault_spec = parse_fault_spec(config.fault_spec)
@@ -191,16 +114,19 @@ class SimulationBuilder:
         )
 
         sim = Simulator()
-        network = build_network(
+        network = MemoryNetwork(
+            sim,
             topology,
             mechanism,
             mapping,
-            sim=sim,
-            power_model=self._power_model,
-            timing=self._timing,
             link_mechanisms={
                 name: lm.mechanism for name, lm in link_mechanisms.items()
             },
+        )
+        # Built before any other stage adds a read listener, so the
+        # workload is always the first to hear of a completed read.
+        workload = ClosedLoopWorkload(
+            network, profile, stop_ns=config.window_ns, seed=config.seed
         )
 
         simulation = Simulation(
@@ -212,6 +138,7 @@ class SimulationBuilder:
             link_mechanisms=link_mechanisms,
             sim=sim,
             network=network,
+            workload=workload,
             build_started=started,
         )
 
@@ -228,8 +155,8 @@ class SimulationBuilder:
             if fault_plan.events:
                 FaultInjector(fault_plan).install(network)
 
-        if self._policy_factory is not None:
-            simulation.policy = self._policy_factory(
+        if self.policy_factory is not None:
+            simulation.policy = self.policy_factory(
                 network, config.alpha, config.epoch_ns
             )
         else:
@@ -241,13 +168,7 @@ class SimulationBuilder:
             for link in network.all_links():
                 link.epoch_counters = False
 
-        if self._observability:
-            self._build_observability(simulation)
-
-        if self._workload:
-            simulation.workload = ClosedLoopWorkload(
-                network, profile, stop_ns=config.window_ns, seed=config.seed
-            )
+        self._build_observability(simulation)
         return simulation
 
     # ------------------------------------------------------------------

@@ -347,10 +347,10 @@ class SerialExecutor(Executor):
     config (``error`` failures are deterministic and are never
     retried).  A re-run waits out its backoff while later configs run,
     so ``on_result`` may fire out of input order; outcomes are still
-    returned in input order.
+    returned in input order.  ``jobs`` is the inherited 1, not a
+    constructor argument.
     """
 
-    jobs: int = 1
     timeout_s: Optional[float] = None
     retries: int = 0
     backoff_s: float = 0.25

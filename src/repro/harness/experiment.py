@@ -272,9 +272,7 @@ def run_experiment(config: ExperimentConfig, policy_factory=None) -> ExperimentR
     Assembly lives in :class:`~repro.harness.builder.SimulationBuilder`;
     this function runs the assembled simulation and measures it.
     """
-    simulation = (
-        SimulationBuilder(config).with_policy_factory(policy_factory).build()
-    )
+    simulation = SimulationBuilder(config, policy_factory).build()
     simulation.run()
 
     sim = simulation.sim

@@ -17,8 +17,9 @@ simulation state:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
+from repro.core.mechanisms import CHANNEL_BYTES_PER_NS
 from repro.network.links import LinkController
 from repro.network.network import MemoryNetwork
 from repro.network.packets import FLIT_BYTES
@@ -32,9 +33,6 @@ __all__ = [
     "performance_degradation",
     "power_reduction",
 ]
-
-#: Per-direction channel bandwidth: 16 lanes x 12.5 Gbps = 25 bytes/ns.
-_CHANNEL_BYTES_PER_NS: float = 25.0
 
 #: Figure 13's utilization buckets: (label, low, high].
 UTILIZATION_BUCKETS: Tuple[Tuple[str, float, float], ...] = (
@@ -52,7 +50,7 @@ def channel_utilization(network: MemoryNetwork, window_ns: float) -> float:
         return 0.0
     flits = network.channel_req.flits_tx + network.channel_resp.flits_tx
     moved = flits * FLIT_BYTES
-    capacity = 2 * _CHANNEL_BYTES_PER_NS * window_ns
+    capacity = 2 * CHANNEL_BYTES_PER_NS * window_ns
     return moved / capacity
 
 

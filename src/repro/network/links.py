@@ -41,7 +41,7 @@ from repro.core.mechanisms import (
     ROO_THRESHOLDS_NS,
 )
 from repro.network.direction import LinkDir
-from repro.network.packets import Packet, PacketKind
+from repro.network.packets import Packet
 from repro.sim.engine import Simulator
 
 __all__ = ["LinkDir", "LinkController", "LinkFaultState", "BUFFER_ENTRIES"]
@@ -56,6 +56,10 @@ _HIST_EDGES: Tuple[float, ...] = tuple(sorted(ROO_THRESHOLDS_NS))
 _SAMPLE_PERIOD: int = 32
 
 _M64 = (1 << 64) - 1
+
+#: Module alias: reading a member off an Enum class costs a Python-level
+#: lookup, and the epoch counters test the direction on every read.
+_RESPONSE = LinkDir.RESPONSE
 
 
 def _unit_uniform(seed: int, n: int) -> float:
@@ -531,8 +535,9 @@ class LinkController:
                 start = vfree[i] if vfree[i] > now else now
                 vfree[i] = start + flits * flit_times[i]
             return
-        # Track response-link queuing against the *full power* monitor.
-        if self.direction is LinkDir.RESPONSE and pkt.kind is PacketKind.READ_RESP:
+        # Track response-link queuing against the *full power* monitor
+        # (a read that is not a request is a read response).
+        if self.direction is _RESPONSE and not pkt.kind.is_request:
             self.ep_resp_packets += 1
             backlog = vfree[0] - now
             if backlog > 3 * flits * flit_times[0]:

@@ -39,6 +39,13 @@ from repro.sim.engine import Simulator
 
 __all__ = ["MemoryNetwork"]
 
+# Module aliases: reading a member off an Enum class costs a Python-level
+# lookup, and the injection and DRAM hand-off paths build a packet per
+# access.
+_READ_REQ = PacketKind.READ_REQ
+_WRITE_REQ = PacketKind.WRITE_REQ
+_READ_RESP = PacketKind.READ_RESP
+
 
 class MemoryNetwork:
     """A simulated network of HMCs behind a single processor channel."""
@@ -51,7 +58,6 @@ class MemoryNetwork:
         mapping,
         power_model: HmcPowerModel = DEFAULT_POWER_MODEL,
         timing: DramTiming = DEFAULT_TIMING,
-        roo_enabled: bool = True,
         link_mechanisms: Optional[Mapping[str, MechanismConfig]] = None,
     ) -> None:
         self.sim = sim
@@ -69,10 +75,9 @@ class MemoryNetwork:
             link_mechanisms or {}
         )
 
-        #: Hook fired when a read completes at the processor.
-        self.on_read_complete: Optional[Callable[[Packet, float], None]] = None
-        #: Additional read-completion listeners (metrics, stats); all are
-        #: invoked after ``on_read_complete``.
+        #: Called in order as ``listener(pkt, now)`` when a read
+        #: completes at the processor.  A closed-loop workload appends
+        #: itself when it is built; metrics and stats append after it.
         self.read_listeners: List[Callable[[Packet, float], None]] = []
         #: "none" | "module" | "path" (see module docstring).
         self.response_wake_mode: str = "none"
@@ -127,13 +132,13 @@ class MemoryNetwork:
             [self.modules[m] for m in path] for path in self._paths
         ]
 
-        self._build_links(roo_enabled)
+        self._build_links()
         self._root_req = self.modules[0].req_in
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_links(self, roo_enabled: bool) -> None:
+    def _build_links(self) -> None:
         topo = self.topology
         endpoint_w = self.power_model.link_endpoint_w()
         overrides = self.link_mechanisms
@@ -167,8 +172,6 @@ class MemoryNetwork:
                 ledger_src=module.ledger,
                 ledger_dst=parent_ledger,
             )
-            req.roo_enabled = roo_enabled and req.mech.has_roo
-            resp.roo_enabled = roo_enabled and resp.mech.has_roo
             module.req_in = req
             module.resp_out = resp
             module.children = list(topo.children[i])
@@ -197,9 +200,7 @@ class MemoryNetwork:
             )
         # Mechanism aggregates over the (possibly heterogeneous) link
         # set.  With no overrides these equal the network-wide
-        # mechanism's own flags (independent of ``roo_enabled``, exactly
-        # like the ``self.mechanism.has_roo`` guards they replace),
-        # keeping homogeneous runs bit-identical.
+        # mechanism's own flags, keeping homogeneous runs bit-identical.
         self._has_roo_links = any(link.mech.has_roo for link in self._links)
         self._has_width_scaling_links = any(
             link.mech.has_width_scaling for link in self._links
@@ -229,9 +230,9 @@ class MemoryNetwork:
         after = self._after_req_router
 
         def deliver(pkt: Packet, now: float) -> None:
-            # Inlined _charge_router and schedule_at (one router hop per
-            # packet per module; ``now`` is a future arrival time, so
-            # the past/NaN guard can never fire).
+            # Router charge and an inlined schedule_at (one router hop
+            # per packet per module; ``now`` is a future arrival time,
+            # so the past/NaN guard can never fire).
             flits = pkt.flits
             module.flits_routed += flits
             ledger.logic_dyn_j += module.e_flit_j * flits
@@ -268,8 +269,8 @@ class MemoryNetwork:
         after = self._after_resp_router
 
         def deliver(pkt: Packet, now: float) -> None:
-            # Inlined _charge_router and schedule_at, as on the request
-            # side.
+            # Router charge and an inlined schedule_at, as on the
+            # request side.
             flits = pkt.flits
             parent_module.flits_routed += flits
             ledger.logic_dyn_j += parent_module.e_flit_j * flits
@@ -289,11 +290,6 @@ class MemoryNetwork:
     # ------------------------------------------------------------------
     # DRAM hand-off
     # ------------------------------------------------------------------
-    def _charge_router(self, module: ModuleRuntime, pkt: Packet) -> None:
-        flits = pkt.flits
-        module.flits_routed += flits
-        module.ledger.logic_dyn_j += module.e_flit_j * flits
-
     def _at_destination(self, i: int, pkt: Packet, now: float) -> None:
         module = self.modules[i]
         is_read = pkt.is_read
@@ -333,7 +329,7 @@ class MemoryNetwork:
         sim = self.sim
         if is_read:
             resp = Packet(
-                PacketKind.READ_RESP,
+                _READ_RESP,
                 pkt.address,
                 PROCESSOR,
                 i,
@@ -402,7 +398,7 @@ class MemoryNetwork:
     def _inject_read_now(self, address: int, stream: int) -> None:
         now = self.sim.now
         dest = self.mapping.module_of(address)
-        pkt = Packet(PacketKind.READ_REQ, address, dest, PROCESSOR, now, stream)
+        pkt = Packet(_READ_REQ, address, dest, PROCESSOR, now, stream)
         path = self._path_modules[dest]
         for m in path:
             m.outstanding_subtree_reads += 1
@@ -425,7 +421,7 @@ class MemoryNetwork:
     def _inject_write_now(self, address: int, stream: int) -> None:
         now = self.sim.now
         dest = self.mapping.module_of(address)
-        pkt = Packet(PacketKind.WRITE_REQ, address, dest, PROCESSOR, now, stream)
+        pkt = Packet(_WRITE_REQ, address, dest, PROCESSOR, now, stream)
         self.injected_writes += 1
         self.sum_traversals += len(self._path_modules[dest])
         self._root_req.enqueue(pkt, now)
@@ -445,8 +441,6 @@ class MemoryNetwork:
                 and module.resp_out is not None
             ):
                 module.resp_out.retry_sleep(now)
-        if self.on_read_complete is not None:
-            self.on_read_complete(pkt, now)
         for listener in self.read_listeners:
             listener(pkt, now)
 

@@ -113,13 +113,6 @@ class Comparison:
     norm_pct: Optional[float]
     regressed: bool
 
-    @property
-    def effective_pct(self) -> float:
-        """The change the gate judged: min of raw and normalized."""
-        if self.norm_pct is None:
-            return self.raw_pct
-        return min(self.raw_pct, self.norm_pct)
-
 
 def _pct(cur: float, base: float) -> float:
     return (cur - base) / base * 100.0 if base > 0 else 0.0

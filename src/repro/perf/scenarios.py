@@ -254,15 +254,17 @@ def _network_hop(quick: bool) -> Callable[[], Tuple[int, str]]:
 
     def work() -> Tuple[int, str]:
         from repro.core.mechanisms import make_mechanism
-        from repro.harness.builder import build_network
+        from repro.network.network import MemoryNetwork
         from repro.network.topology import build_topology
+        from repro.sim.engine import Simulator
 
-        network = build_network(
+        sim = Simulator()
+        network = MemoryNetwork(
+            sim,
             build_topology("daisychain", modules),
             make_mechanism("FP"),
             _RoundRobinMapping(modules),
         )
-        sim = network.sim
         network.start()
         rng = _lcg(7)
         t = 1.0
@@ -457,7 +459,6 @@ def _store_bulk_lookup(quick: bool) -> Callable[[], Tuple[int, str]]:
     # batch answers the same probes in one IN-query instead of n file
     # opens, which is the layer's headline win.
     import tempfile
-    from dataclasses import replace
     from pathlib import Path
 
     from repro.harness.experiment import ExperimentConfig, ExperimentResult

@@ -28,18 +28,21 @@ import math
 import random
 from typing import List
 
+from repro.core.mechanisms import (
+    CHANNEL_BYTES_PER_NS,
+    FLIT_TIME_FULL_NS,
+    SERDES_FULL_NS,
+)
 from repro.network.network import MemoryNetwork
 from repro.network.packets import LINE_BYTES, Packet
+from repro.network.router import ROUTER_LATENCY_NS
+from repro.units import GB
 from repro.workloads.profiles import WorkloadProfile
 
 __all__ = ["ClosedLoopWorkload", "estimate_full_power_latency_ns"]
 
-#: Channel bandwidth per direction: 16 lanes x 12.5 Gbps = 25 bytes/ns.
-_CHANNEL_BYTES_PER_NS: float = 25.0
 #: Mean OFF-phase gap inserted between bursts, nanoseconds.
 _BURST_SCALE_NS: float = 8000.0
-
-_GB = 1024**3
 
 
 def estimate_full_power_latency_ns(
@@ -58,7 +61,7 @@ def estimate_full_power_latency_ns(
     if mapping.interleaved:
         probs = [1.0 / n] * n
     else:
-        gran_gb = mapping.granularity_bytes / _GB
+        gran_gb = mapping.granularity_bytes / GB
         probs = []
         for i in range(n):
             lo = profile.access_fraction_below(i * gran_gb)
@@ -67,8 +70,8 @@ def estimate_full_power_latency_ns(
         total = sum(probs)
         probs = [p / total for p in probs] if total > 0 else [1.0 / n] * n
     exp_depth = sum(p * topo.depth(i) for i, p in enumerate(probs))
-    per_hop_req = 3.2 + 2.56 + 0.64
-    per_hop_resp = 3.2 + 2.56 + 5 * 0.64
+    per_hop_req = SERDES_FULL_NS + ROUTER_LATENCY_NS + FLIT_TIME_FULL_NS
+    per_hop_resp = SERDES_FULL_NS + ROUTER_LATENCY_NS + 5 * FLIT_TIME_FULL_NS
     base = 30.0 + exp_depth * (per_hop_req + per_hop_resp)
     return base * (1.0 + profile.channel_util)
 
@@ -94,7 +97,7 @@ class ClosedLoopWorkload:
         #: Target aggregate access rate (accesses per ns) hitting the
         #: profile's channel utilization at full power.
         self.target_rate = (
-            profile.channel_util * 2 * _CHANNEL_BYTES_PER_NS / bytes_per_access
+            profile.channel_util * 2 * CHANNEL_BYTES_PER_NS / bytes_per_access
         )
         latency = estimate_full_power_latency_ns(network, profile)
         #: Mean gap between one stream's batches so that
@@ -117,7 +120,7 @@ class ClosedLoopWorkload:
         else:
             self.off_prob = 0.0
 
-        footprint_lines = int(profile.footprint_gb * _GB) // LINE_BYTES
+        footprint_lines = int(profile.footprint_gb * GB) // LINE_BYTES
         self._footprint_bytes = footprint_lines * LINE_BYTES
 
         s = profile.streams
@@ -129,7 +132,7 @@ class ClosedLoopWorkload:
         self._cur_addr = [0] * s
         self.issued = 0
 
-        network.on_read_complete = self._on_read_complete
+        network.read_listeners.append(self._on_read_complete)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -147,7 +150,7 @@ class ClosedLoopWorkload:
         rng = self._rng[s]
         if self._run_left[s] <= 0:
             gb = self.profile.sample_address_gb(rng.random())
-            addr = int(gb * _GB) // LINE_BYTES * LINE_BYTES
+            addr = int(gb * GB) // LINE_BYTES * LINE_BYTES
             addr = min(addr, self._footprint_bytes - LINE_BYTES)
             self._cur_addr[s] = addr
             p = 1.0 / max(1.0, self.profile.run_length)

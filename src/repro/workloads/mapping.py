@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from repro.registry import Registry
+from repro.units import GB
 
 __all__ = [
     "AddressMapping",
@@ -27,9 +28,9 @@ __all__ = [
 ]
 
 #: Contiguous slice per HMC in the small-network study (4 GB HMCs).
-SMALL_SLICE_BYTES: int = 4 * 1024**3
+SMALL_SLICE_BYTES: int = 4 * GB
 #: Contiguous slice per HMC in the big-network study.
-BIG_SLICE_BYTES: int = 1 * 1024**3
+BIG_SLICE_BYTES: int = 1 * GB
 #: OS page size used by the interleaved mapping.
 PAGE_BYTES: int = 4096
 
@@ -79,7 +80,7 @@ def modules_for_footprint(footprint_gb: float, scale: str) -> int:
     ``scale`` is ``"small"`` (4 GB per HMC) or ``"big"`` (1 GB per HMC).
     """
     slice_bytes = _slice_bytes(scale)
-    return max(1, math.ceil(footprint_gb * 1024**3 / slice_bytes))
+    return max(1, math.ceil(footprint_gb * GB / slice_bytes))
 
 
 #: Registry of mapping factories (``(footprint_gb, scale) -> AddressMapping``).

@@ -93,6 +93,22 @@ class TestExecution:
         assert rc == 0
         assert "vs full power" in capsys.readouterr().out
 
+    def test_baseline_that_completes_no_access_reports_zero_cost(self, capsys):
+        # A 10 ns window ends before any access completes, so the
+        # baseline's throughput is 0.
+        rc = main([
+            "run", "--workload", "sp.D", "--mechanism", "VWL",
+            "--policy", "aware", "--window-us", "0.01", "--epoch-us", "0.005",
+            "--baseline", "--no-cache",
+        ])
+        assert rc == 0
+        assert "vs full power: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "serve"])
+    def test_resume_without_journal_is_rejected(self, command):
+        with pytest.raises(SystemExit, match="--resume requires --journal"):
+            main([command, "--resume", "--no-cache"])
+
     def test_figure_fig4_runs_without_simulation(self, capsys):
         assert main(["figure", "fig4"]) == 0
         out = capsys.readouterr().out

@@ -40,15 +40,14 @@ def test_builder_keeps_counters_only_for_epoch_policies(policy, mechanism, count
 
 def test_policy_factory_ablation_keeps_counters():
     config = ExperimentConfig(**FAST, mechanism="VWL+ROO", policy="aware")
-    simulation = (
-        SimulationBuilder(config)
-        .with_policy_factory(
-            lambda net, alpha, epoch: NetworkAwarePolicy(
-                net, alpha, epoch, enable_grant_pool=False
-            )
-        )
-        .build()
-    )
+    simulation = SimulationBuilder(
+        config,
+        policy_factory=lambda net, alpha, epoch: NetworkAwarePolicy(
+            net, alpha, epoch, enable_grant_pool=False
+        ),
+    ).build()
+    assert isinstance(simulation.policy, NetworkAwarePolicy)
+    assert not simulation.policy.enable_grant_pool
     assert _counting(simulation) == {True}
 
 

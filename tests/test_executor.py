@@ -56,6 +56,11 @@ class TestFactory:
 
 
 class TestSerialExecutor:
+    def test_runs_one_config_at_a_time(self):
+        assert SerialExecutor().workers == 1
+        with pytest.raises(TypeError):
+            SerialExecutor(jobs=2)
+
     def test_results_in_input_order(self):
         configs = [
             ExperimentConfig(workload="sp.D", seed=s, **FAST) for s in (1, 2)

@@ -22,7 +22,7 @@ class TestReadPath:
     def test_read_to_root_module_completes(self):
         sim, net = make_network()
         done = []
-        net.on_read_complete = lambda pkt, now: done.append((pkt, now))
+        net.read_listeners.append(lambda pkt, now: done.append((pkt, now)))
         net.start()
         net.inject_read(0x1000, 0.0)
         sim.run()
@@ -46,7 +46,7 @@ class TestReadPath:
         def complete(pkt, now):
             latencies[pkt.src] = now - pkt.issue_time
 
-        net.on_read_complete = complete
+        net.read_listeners.append(complete)
         net.start()
         net.inject_read(0 * 4 * GB, 0.0)
         sim.run()
@@ -58,9 +58,9 @@ class TestReadPath:
         # Each extra hop costs router + serdes + tx on both directions.
         sim, net = make_network(n=4)
         latencies = {}
-        net.on_read_complete = lambda pkt, now: latencies.setdefault(
+        net.read_listeners.append(lambda pkt, now: latencies.setdefault(
             pkt.src, now - pkt.issue_time
-        )
+        ))
         net.start()
         t = 0.0
         for i in range(4):

@@ -13,11 +13,13 @@ from repro.core.overrides import (
     parse_mechanism_overrides,
     resolve_link_mechanisms,
 )
-from repro.harness.builder import SimulationBuilder, build_network
+from repro.harness.builder import SimulationBuilder
 from repro.harness.executor import ParallelExecutor, SerialExecutor
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.io import config_to_dict, result_to_cache_dict, result_to_dict
+from repro.network.network import MemoryNetwork
 from repro.network.topology import build_topology, daisychain, ternary_tree
+from repro.sim.engine import Simulator
 from repro.workloads.mapping import make_mapping
 
 FAST = dict(window_ns=40_000.0, epoch_ns=15_000.0)
@@ -174,8 +176,8 @@ class TestHeterogeneousNetwork:
         base = make_mechanism(base_name)
         mapping = make_mapping("contiguous", footprint_gb=1.0, scale="small")
         resolved = resolve_link_mechanisms(spec, topo, base)
-        return build_network(
-            topo, base, mapping,
+        return MemoryNetwork(
+            Simulator(), topo, base, mapping,
             link_mechanisms={name: lm.mechanism for name, lm in resolved.items()},
         )
 
@@ -207,8 +209,8 @@ class TestHeterogeneousNetwork:
         base = make_mechanism("FP")
         mapping = make_mapping("contiguous", footprint_gb=1.0, scale="small")
         with pytest.raises(ValueError, match="req:0->7"):
-            build_network(
-                topo, base, mapping,
+            MemoryNetwork(
+                Simulator(), topo, base, mapping,
                 link_mechanisms={"req:0->7": make_mechanism("VWL")},
             )
 

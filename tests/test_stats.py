@@ -91,7 +91,7 @@ class TestNetworkIntegration:
     def test_coexists_with_workload_callback(self):
         sim, net, tracker = make_tracker()
         seen = []
-        net.on_read_complete = lambda pkt, now: seen.append(pkt.pkt_id)
+        net.read_listeners.append(lambda pkt, now: seen.append(pkt.pkt_id))
         net.inject_read(0, 0.0)
         sim.run()
         assert len(seen) == 1 and tracker.count == 1

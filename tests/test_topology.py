@@ -163,10 +163,12 @@ class TestSingleModule:
     @pytest.mark.parametrize("name", sorted(TOPOLOGY_BUILDERS))
     def test_one_module_network_builds_and_runs(self, name):
         from repro.core.mechanisms import make_mechanism
-        from repro.harness.builder import build_network
+        from repro.network.network import MemoryNetwork
+        from repro.sim.engine import Simulator
         from repro.workloads.mapping import make_mapping
 
-        network = build_network(
+        network = MemoryNetwork(
+            Simulator(),
             build_topology(name, 1),
             make_mechanism("VWL+ROO"),
             make_mapping("contiguous", footprint_gb=1.0, scale="small"),
