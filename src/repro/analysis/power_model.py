@@ -10,7 +10,6 @@ tool ("what would a 32-cube ternary tree burn?").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.network.topology import Topology

@@ -49,8 +49,9 @@ import argparse
 import sys
 
 from repro.core.mechanisms import MECHANISMS, MECHANISM_NAMES
+from repro.core.policy import POLICY_NAMES
 from repro.harness.executor import FailedResult, make_executor
-from repro.harness.experiment import ExperimentConfig, POLICY_NAMES
+from repro.harness.experiment import AUDIT_MODES, ExperimentConfig
 from repro.harness import figures as F
 from repro.harness.journal import SweepJournal
 from repro.harness.metrics import performance_degradation, power_reduction
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write per-epoch aggregated metrics as JSON")
     obs_group.add_argument(
         "--audit", nargs="?", const="strict", default="",
-        choices=["warn", "strict"], metavar="MODE",
+        choices=AUDIT_MODES, metavar="MODE",
         help="run invariant checks during and after the simulation: "
              "'strict' (default when the flag is given) fails the run "
              "on any violation, 'warn' reports to stderr and continues "

@@ -1,6 +1,5 @@
 """The paper's contribution: I/O power-control mechanisms and management."""
 
-from repro.core.ams import SlowdownAccount, module_fel_ael
 from repro.core.aware import NetworkAwarePolicy
 from repro.core.hardware_cost import (
     CounterBudget,
@@ -9,52 +8,32 @@ from repro.core.hardware_cost import (
     network_overhead,
 )
 from repro.core.mechanisms import (
-    DVFS_MODES,
-    FULL_LANES,
     LinkModeState,
     MECHANISM_NAMES,
     MechanismConfig,
-    ROO_THRESHOLDS_NS,
-    VWL_MODES,
-    WidthMode,
     make_mechanism,
 )
 from repro.core.overrides import (
     LinkMechanism,
-    OverrideClause,
     OverrideError,
-    canonical_override_spec,
-    parse_mechanism_overrides,
     resolve_link_mechanisms,
 )
-from repro.core.policy import EPOCH_NS, ManagementPolicy
-from repro.core.static_baseline import StaticBaselinePolicy, static_width_fractions
+from repro.core.policy import ManagementPolicy
+from repro.core.static_baseline import StaticBaselinePolicy
 from repro.core.unaware import NetworkUnawarePolicy
 
 __all__ = [
     "MechanismConfig",
-    "WidthMode",
     "LinkModeState",
     "make_mechanism",
     "MECHANISM_NAMES",
-    "VWL_MODES",
-    "DVFS_MODES",
-    "ROO_THRESHOLDS_NS",
-    "FULL_LANES",
     "OverrideError",
-    "OverrideClause",
     "LinkMechanism",
-    "parse_mechanism_overrides",
-    "canonical_override_spec",
     "resolve_link_mechanisms",
-    "SlowdownAccount",
-    "module_fel_ael",
     "ManagementPolicy",
-    "EPOCH_NS",
     "NetworkUnawarePolicy",
     "NetworkAwarePolicy",
     "StaticBaselinePolicy",
-    "static_width_fractions",
     "CounterBudget",
     "link_counter_bits",
     "module_counter_bits",

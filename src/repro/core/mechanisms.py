@@ -38,6 +38,8 @@ __all__ = [
     "ROO_THRESHOLDS_NS",
     "ROO_FULL_POWER_THRESHOLD_NS",
     "WidthMode",
+    "VWL_MODES",
+    "DVFS_MODES",
     "MechanismConfig",
     "LinkModeState",
     "make_mechanism",

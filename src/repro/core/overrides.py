@@ -227,12 +227,8 @@ def resolve_link_mechanisms(
 
     out: Dict[str, LinkMechanism] = {}
     for i in range(n):
-        parent = topology.parent[i]
         depth = topology.depth(i)
-        for direction, link_name in (
-            ("down", f"req:{parent}->{i}"),
-            ("up", f"resp:{i}->{parent}"),
-        ):
+        for direction, link_name in zip(("down", "up"), topology.link_names(i)):
             winner: Optional[OverrideClause] = None
             for clause in clauses:
                 if clause.matches(i, depth, direction):

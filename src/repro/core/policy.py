@@ -18,9 +18,8 @@ ISP).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
-from repro.core.mechanisms import LinkModeState
 from repro.registry import Registry
 
 if TYPE_CHECKING:  # import-cycle-free type hints only
@@ -148,12 +147,12 @@ class ManagementPolicy:
         self.epochs_run = 0
         self.violations = 0
         self.dram_read_latency_ns = network.timing.read_latency_ns
-        #: Optional hook ``f(links, epoch_ns)`` fired at each epoch
-        #: boundary *before* counters reset -- used by the harness to
-        #: collect per-epoch link statistics (e.g. Figure 13 link-hours).
-        self.epoch_observer: Optional[
+        #: Hooks ``f(links, epoch_ns)`` called in order at each epoch
+        #: boundary *before* counters reset -- the harness appends its
+        #: per-epoch link statistics here (e.g. Figure 13 link-hours).
+        self.epoch_observers: List[
             Callable[[Sequence["LinkController"], float], None]
-        ] = None
+        ] = []
         #: Optional :class:`repro.obs.Tracer` for ``epoch`` events;
         #: installed by :func:`repro.obs.install_tracer`.
         self.trace = None
@@ -181,8 +180,10 @@ class ManagementPolicy:
                 policy=type(self).__name__,
                 violations=self.violations,
             )
-        if self.epoch_observer is not None:
-            self.epoch_observer(self.network.all_links(), self.epoch_ns)
+        if self.epoch_observers:
+            links = self.network.all_links()
+            for observer in self.epoch_observers:
+                observer(links, self.epoch_ns)
         assignments = self._assign_budgets()
         for link in self.network.all_links():
             budget, state = assignments.get(link, (0.0, None))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.core.mechanisms import MechanismConfig, make_mechanism
 from repro.core.overrides import LinkMechanism, resolve_link_mechanisms
@@ -176,15 +176,16 @@ class SimulationBuilder:
         """Wire link-hour collection, tracing, and epoch metrics."""
         config = simulation.config
         policy = simulation.policy
-        observers: List[Callable] = []
+        # Epoch observers only exist where an epoch loop calls them.
+        observers = policy.epoch_observers if self._policy_observes(policy) else None
 
-        if config.collect_link_hours and self._policy_observes(policy):
+        if config.collect_link_hours and observers is not None:
             from repro.harness.metrics import LinkHourCollector
 
             simulation.collector = LinkHourCollector()
             observers.append(simulation.collector)
 
-        if config.audit and self._policy_observes(policy):
+        if config.audit and observers is not None:
             from repro.validation.audit import EpochAuditor
 
             simulation.auditor = EpochAuditor(simulation)
@@ -237,18 +238,10 @@ class SimulationBuilder:
                 simulation.tracer = tracer
             if config.metrics_path is not None:
                 simulation.metrics = MetricsRegistry()
-                observers.append(EpochLinkMetrics(simulation.metrics, simulation.sim))
-
-        if observers and policy is not None:
-            if len(observers) == 1:
-                policy.epoch_observer = observers[0]
-            else:
-
-                def _fanout(links, epoch_ns, _obs=tuple(observers)):
-                    for ob in _obs:
-                        ob(links, epoch_ns)
-
-                policy.epoch_observer = _fanout
+                if observers is not None:
+                    observers.append(
+                        EpochLinkMetrics(simulation.metrics, simulation.sim)
+                    )
 
     @staticmethod
     def _policy_observes(policy: Optional[Any]) -> bool:

@@ -33,6 +33,7 @@ __all__ = [
     "run_experiment",
     "POLICY_NAMES",
     "OBSERVABILITY_FIELDS",
+    "AUDIT_MODES",
 ]
 
 #: Config fields that only control what is *observed*, not what is
@@ -48,6 +49,11 @@ OBSERVABILITY_FIELDS: Tuple[str, ...] = (
     "metrics_path",
     "audit",
 )
+
+#: Values of :attr:`ExperimentConfig.audit` that turn the audit on
+#: (``""`` leaves it off): ``strict`` fails the run on a violation,
+#: ``warn`` reports it and lets the run succeed.
+AUDIT_MODES: Tuple[str, ...] = ("warn", "strict")
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class ExperimentConfig:
         if self.trace_categories:
             # Fail fast on bad category specs even when tracing is off.
             parse_categories(self.trace_categories)
-        if self.audit not in ("", "warn", "strict"):
+        if self.audit and self.audit not in AUDIT_MODES:
             raise ValueError(
                 f"audit must be '', 'warn', or 'strict', got {self.audit!r}"
             )

@@ -82,7 +82,7 @@ def bucket_of(utilization: float) -> str:
 class LinkHourCollector:
     """Accumulates Figure 13's (utilization-bucket x width-mode) hours.
 
-    Install as a management policy's ``epoch_observer``; at every epoch
+    Append to a management policy's ``epoch_observers``; at every epoch
     boundary each link contributes its per-width-mode time to the bucket
     matching its utilization that epoch.
     """

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.power.accounting import PowerBreakdown
 
 __all__ = ["MultiChannelResult", "run_multichannel"]
 

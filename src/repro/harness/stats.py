@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.network.network import MemoryNetwork

@@ -1,15 +1,7 @@
 """Memory-network substrate: packets, topologies, links, routing."""
 
-from repro.network.links import BUFFER_ENTRIES, LinkController, LinkDir
+from repro.network.links import LinkController
 from repro.network.network import MemoryNetwork
-from repro.network.packets import (
-    FLIT_BYTES,
-    LINE_BYTES,
-    Packet,
-    PacketKind,
-    flits_for,
-)
-from repro.network.router import ROUTER_LATENCY_NS
 from repro.network.topology import (
     Radix,
     Topology,
@@ -19,19 +11,11 @@ from repro.network.topology import (
 )
 
 __all__ = [
-    "FLIT_BYTES",
-    "LINE_BYTES",
-    "Packet",
-    "PacketKind",
-    "flits_for",
     "Radix",
     "Topology",
     "TopologyError",
     "TOPOLOGY_NAMES",
     "build_topology",
     "LinkController",
-    "LinkDir",
-    "BUFFER_ENTRIES",
-    "ROUTER_LATENCY_NS",
     "MemoryNetwork",
 ]

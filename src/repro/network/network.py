@@ -66,8 +66,8 @@ class MemoryNetwork:
         self.mapping = mapping
         self.power_model = power_model
         self.timing = timing
-        #: Per-link mechanism overrides keyed by link name
-        #: (``req:{parent}->{i}`` / ``resp:{i}->{parent}``); links absent
+        #: Per-link mechanism overrides keyed by link name (see
+        #: :meth:`~repro.network.topology.Topology.link_names`); links absent
         #: from the mapping run the network-wide ``mechanism``.  Built
         #: from an ``ExperimentConfig.mechanism_overrides`` spec via
         #: :func:`repro.core.overrides.resolve_link_mechanisms`.
@@ -148,8 +148,7 @@ class MemoryNetwork:
             parent_ledger = (
                 self.modules[parent].ledger if parent != PROCESSOR else module.ledger
             )
-            req_name = f"req:{parent}->{i}"
-            resp_name = f"resp:{i}->{parent}"
+            req_name, resp_name = topo.link_names(i)
             req = LinkController(
                 self.sim,
                 name=req_name,

@@ -173,6 +173,16 @@ class Topology:
         """Average hop distance from the processor."""
         return sum(self._depths) / self.num_modules
 
+    def link_names(self, module: int) -> Tuple[str, str]:
+        """Names of ``module``'s connectivity links, ``(request, response)``.
+
+        The request link runs down from the parent,
+        ``req:{parent}->{module}``, and the response link back up,
+        ``resp:{module}->{parent}``; the processor is parent ``-1``.
+        """
+        parent = self.parent[module]
+        return f"req:{parent}->{module}", f"resp:{module}->{parent}"
+
     def path_from_processor(self, module: int) -> List[int]:
         """Modules traversed from the processor to ``module``, inclusive."""
         path: List[int] = []

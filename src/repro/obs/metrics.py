@@ -8,7 +8,7 @@ metrics are produced without the instruments themselves knowing about
 epochs.
 
 :class:`EpochLinkMetrics` is the stock bridge between a management
-policy's ``epoch_observer`` hook and a registry: at every epoch
+policy's ``epoch_observers`` and a registry: at every epoch
 boundary it folds the link-controller epoch counters (busy time, flits,
 reads, utilization) into the registry and marks the epoch.
 """
@@ -16,7 +16,7 @@ reads, utilization) into the registry and marks the epoch.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -253,9 +253,9 @@ _UTIL_EDGES: Tuple[float, ...] = (0.01, 0.05, 0.10, 0.20, 1.0)
 
 
 class EpochLinkMetrics:
-    """``epoch_observer`` bridge: link epoch counters -> registry.
+    """Epoch-observer bridge: link epoch counters -> registry.
 
-    Install on a management policy (possibly chained with other
+    Append to a management policy's ``epoch_observers`` (after any other
     observers); every epoch boundary it accumulates network-wide link
     activity and marks the epoch on the registry.
     """

@@ -20,7 +20,7 @@ lazily and closed by ``close()``.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "TraceSink",

@@ -20,7 +20,6 @@ from repro.perf.harness import (
     BenchResult,
     BenchSpec,
     all_benchmarks,
-    get_benchmark,
     register,
     run_benchmarks,
 )
@@ -33,7 +32,6 @@ from repro.perf.report import (
     compare_reports,
     format_comparison,
     load_report,
-    machine_info,
     make_report,
     write_report,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "BenchResult",
     "BenchSpec",
     "all_benchmarks",
-    "get_benchmark",
     "register",
     "run_benchmarks",
     "BENCH_SCHEMA",
@@ -57,7 +54,6 @@ __all__ = [
     "compare_reports",
     "format_comparison",
     "load_report",
-    "machine_info",
     "make_report",
     "write_report",
 ]

@@ -51,30 +51,22 @@ from repro.serve.client import (
 from repro.serve.breaker import (
     BreakerBoard,
     BreakerDecision,
-    BreakerOpenError,
     CircuitBreaker,
     config_family,
 )
 from repro.serve.degrade import (
-    DEGRADE_MODES,
     DegradedResult,
     degraded_json,
     degraded_payload,
     make_degraded_result,
 )
-from repro.serve.http import (
-    API_PREFIX,
-    API_VERSION,
-    ExperimentServer,
-    ServeHandler,
-    run_server,
-)
+from repro.serve.http import ExperimentServer, run_server
 from repro.serve.lru import LruResultCache
 from repro.serve.service import (
     AdmissionError,
+    BreakerOpenError,
     DrainingError,
     ExperimentService,
-    LATENCY_EDGES_MS,
     QueueFullError,
     RequestTicket,
     SERVICE_STATES,
@@ -82,19 +74,15 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "API_PREFIX",
-    "API_VERSION",
     "AdmissionError",
     "BreakerBoard",
     "BreakerDecision",
     "BreakerOpenError",
     "CircuitBreaker",
-    "DEGRADE_MODES",
     "DegradedResult",
     "DrainingError",
     "ExperimentServer",
     "ExperimentService",
-    "LATENCY_EDGES_MS",
     "LruResultCache",
     "QueueFullError",
     "RequestTicket",
@@ -103,7 +91,6 @@ __all__ = [
     "ServeClient",
     "ServeConnectionError",
     "ServeError",
-    "ServeHandler",
     "ServeRejectedError",
     "ServeRunOutcome",
     "ServeSimulationError",
@@ -113,4 +100,5 @@ __all__ = [
     "degraded_json",
     "degraded_payload",
     "make_degraded_result",
+    "run_server",
 ]

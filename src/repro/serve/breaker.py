@@ -34,13 +34,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
-
-from .service import AdmissionError
+from typing import Callable, Dict, List
 
 __all__ = [
     "BREAKER_STATES",
-    "BreakerOpenError",
     "BreakerDecision",
     "CircuitBreaker",
     "BreakerBoard",
@@ -49,26 +46,6 @@ __all__ = [
 
 #: Breaker states in display order (index = StateGauge numeric value).
 BREAKER_STATES = ("closed", "open", "half_open")
-
-
-class BreakerOpenError(AdmissionError):
-    """Raised when an open breaker short-circuits a request.
-
-    Maps to HTTP 503 with ``Retry-After`` set to the remaining cooldown,
-    rounded up to a whole second so clients never retry early.
-    """
-
-    http_status = 503
-
-    def __init__(self, family: str, remaining_s: float) -> None:
-        retry = max(1.0, float(-(-remaining_s // 1)))  # ceil, >= 1
-        super().__init__(
-            f"circuit breaker open for config family {family!r}; "
-            f"retry in {retry:.0f}s"
-        )
-        self.retry_after_s = retry
-        self.family = family
-        self.remaining_s = remaining_s
 
 
 def config_family(config) -> str:

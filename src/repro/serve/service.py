@@ -74,6 +74,7 @@ from repro.harness.executor import (
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.harness.journal import SweepJournal
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.breaker import BreakerBoard, config_family
 from repro.serve.degrade import (
     DEGRADE_MODES,
     DegradedResult,
@@ -86,6 +87,7 @@ __all__ = [
     "AdmissionError",
     "QueueFullError",
     "DrainingError",
+    "BreakerOpenError",
     "RequestTicket",
     "ServiceSettings",
     "ExperimentService",
@@ -140,6 +142,26 @@ class DrainingError(AdmissionError):
     """The service is draining and refuses new work (503)."""
 
     http_status = 503
+
+
+class BreakerOpenError(AdmissionError):
+    """Raised when an open breaker short-circuits a request.
+
+    Maps to HTTP 503 with ``Retry-After`` set to the remaining cooldown,
+    rounded up to a whole second so clients never retry early.
+    """
+
+    http_status = 503
+
+    def __init__(self, family: str, remaining_s: float) -> None:
+        retry = max(1.0, float(-(-remaining_s // 1)))  # ceil, >= 1
+        super().__init__(
+            f"circuit breaker open for config family {family!r}; "
+            f"retry in {retry:.0f}s"
+        )
+        self.retry_after_s = retry
+        self.family = family
+        self.remaining_s = remaining_s
 
 
 @dataclass(frozen=True)
@@ -273,10 +295,6 @@ class ExperimentService:
         registry: Optional[MetricsRegistry] = None,
         breakers=None,
     ) -> None:
-        # Imported here, not at module top: breaker.py imports this
-        # module for AdmissionError, so the reverse import must be lazy.
-        from repro.serve.breaker import BreakerBoard
-
         self.settings = settings if settings is not None else ServiceSettings()
         self.disk_cache = disk_cache
         self.journal = journal
@@ -395,7 +413,7 @@ class ExperimentService:
         (single-flight), hit the memory tier, hit the disk tier, pass
         the config family's circuit breaker, or queue a simulation.
         Raises :class:`DrainingError` after drain began,
-        :class:`~repro.serve.breaker.BreakerOpenError` when the family's
+        :class:`BreakerOpenError` when the family's
         breaker is open, and :class:`QueueFullError` when the simulation
         queue is at capacity -- except that with
         ``settings.degrade="analytical"`` the latter two resolve the
@@ -409,8 +427,6 @@ class ExperimentService:
         (``OSError``, ``sqlite3.Error``); it is counted in
         ``read_errors``.
         """
-        from repro.serve.breaker import BreakerOpenError, config_family
-
         key = config.cache_key()
         with self._cond:
             self._bump("serve.requests_total")
@@ -627,8 +643,6 @@ class ExperimentService:
         ``write_errors`` and reported on stderr; the waiters still get
         the outcome, because the write only keeps it for later.
         """
-        from repro.serve.breaker import config_family
-
         executor_ms = (time.monotonic() - ticket.dispatched_at) * 1000.0
         failed = isinstance(outcome, FailedResult)
         write_failed = False

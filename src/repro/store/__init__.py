@@ -43,7 +43,6 @@ __all__ = [
     "STORE_BACKENDS",
     "DEFAULT_SQLITE_FILENAME",
     "SCHEMA_VERSION",
-    "default_cache_dir",
 ]
 
 #: Backend names accepted by ``make_store`` and the CLI ``--store`` flag.

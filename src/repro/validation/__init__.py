@@ -22,40 +22,19 @@ See docs/validation.md for every invariant's physical meaning and
 tolerance.
 """
 
-from repro.validation.audit import (
-    AuditViolationError,
-    EpochAuditor,
-    audit_simulation,
-    finalize_audit,
-)
-from repro.validation.checks import CHECKS, CheckContext, register_check, run_checks
+from repro.validation.audit import AuditViolationError
+from repro.validation.checks import CHECKS
 from repro.validation.metamorphic import METAMORPHIC_RELATIONS
-from repro.validation.suite import (
-    SABOTAGES,
-    full_matrix,
-    quick_matrix,
-    run_suite,
-    validate_config,
-    validate_matrix,
-)
+from repro.validation.suite import SABOTAGES, run_suite, validate_config
 from repro.validation.violations import ValidationReport, Violation
 
 __all__ = [
     "CHECKS",
-    "CheckContext",
-    "register_check",
-    "run_checks",
     "Violation",
     "ValidationReport",
     "AuditViolationError",
-    "EpochAuditor",
-    "audit_simulation",
-    "finalize_audit",
     "METAMORPHIC_RELATIONS",
     "SABOTAGES",
     "validate_config",
-    "validate_matrix",
-    "quick_matrix",
-    "full_matrix",
     "run_suite",
 ]

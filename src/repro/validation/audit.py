@@ -3,8 +3,8 @@
 The audit mode (``ExperimentConfig.audit`` / ``repro-mnet run --audit``)
 threads two hooks through a normal experiment:
 
-* an :class:`EpochAuditor` installed as an ``epoch_observer`` on
-  managed policies, running every ``scope="epoch"`` checker at each
+* an :class:`EpochAuditor` appended to a managed policy's
+  ``epoch_observers``, running every ``scope="epoch"`` checker at each
   epoch boundary (before counters reset, so per-epoch quantities are
   still live);
 * :func:`finalize_audit`, called by
@@ -25,6 +25,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.harness.experiment import AUDIT_MODES
 from repro.validation.checks import CheckContext, checks_for_scope, run_checks
 from repro.validation.violations import ValidationReport, Violation
 
@@ -34,10 +35,6 @@ if TYPE_CHECKING:
     from repro.network.links import LinkController
 
 __all__ = ["AuditViolationError", "EpochAuditor", "audit_simulation", "finalize_audit"]
-
-#: Valid values of ``ExperimentConfig.audit`` (empty string = off).
-AUDIT_MODES = ("", "warn", "strict")
-
 
 class AuditViolationError(RuntimeError):
     """Raised by strict audits when an invariant is violated.
@@ -57,7 +54,7 @@ class AuditViolationError(RuntimeError):
 
 
 class EpochAuditor:
-    """Per-epoch invariant auditor, installed as an ``epoch_observer``.
+    """Per-epoch invariant auditor, one of a policy's ``epoch_observers``.
 
     Runs every ``scope="epoch"`` checker at each epoch boundary and
     accumulates violations plus a per-module cumulative-energy snapshot
@@ -128,7 +125,7 @@ def finalize_audit(
     stderr and returns normally.  Always returns the report when it
     does not raise.
     """
-    if mode not in ("warn", "strict"):
+    if mode not in AUDIT_MODES:
         raise ValueError(f"bad audit mode {mode!r} (expected 'warn' or 'strict')")
     report = audit_simulation(simulation, result=result)
     if report.violations:

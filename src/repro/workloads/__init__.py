@@ -3,17 +3,12 @@
 from repro.workloads.generator import ClosedLoopWorkload
 from repro.workloads.mapping import (
     AddressMapping,
-    BIG_SLICE_BYTES,
-    PAGE_BYTES,
-    SMALL_SLICE_BYTES,
     contiguous_mapping,
     modules_for_footprint,
     page_interleaved_mapping,
 )
 from repro.workloads.profiles import (
-    HPC_WORKLOADS,
     MIX_COMPOSITION,
-    MIX_WORKLOADS,
     WORKLOAD_NAMES,
     WORKLOADS,
     WorkloadProfile,
@@ -34,14 +29,9 @@ __all__ = [
     "contiguous_mapping",
     "page_interleaved_mapping",
     "modules_for_footprint",
-    "SMALL_SLICE_BYTES",
-    "BIG_SLICE_BYTES",
-    "PAGE_BYTES",
     "WorkloadProfile",
     "WORKLOADS",
     "WORKLOAD_NAMES",
-    "HPC_WORKLOADS",
-    "MIX_WORKLOADS",
     "MIX_COMPOSITION",
     "get_profile",
     "TraceRecord",

@@ -22,8 +22,8 @@ truth; EXPERIMENTS.md records the consequences.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 from repro.registry import Registry
 

@@ -22,7 +22,6 @@ the closed-loop generator when throughput feedback matters).
 from __future__ import annotations
 
 import gzip
-import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 

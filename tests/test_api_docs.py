@@ -1,41 +1,26 @@
 """Public-API docstring coverage.
 
-Every name exported through ``repro/__init__.py`` or a subpackage
-``__all__`` is part of the supported surface, so it must carry a
-docstring — as must the public methods and properties of every exported
-class. CI runs this file with the rest of the unit suite, so an
-undocumented export fails the build.
+Every name listed in a module's ``__all__`` -- the top-level package,
+each subpackage and every module inside them -- is public, so it must
+carry a docstring, as must the public methods and properties of every
+exported class. The module list is discovered, so a new module is
+checked without being added here. CI runs this file with the rest of
+the unit suite, so an undocumented export fails the build.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
-#: The documented import surface: every package/module that declares an
-#: ``__all__`` meant for users (subpackage ``__init__``s plus the
-#: top-level helper modules).
-PUBLIC_MODULES = (
-    "repro",
-    "repro.analysis",
-    "repro.core",
-    "repro.dram",
-    "repro.faults",
-    "repro.harness",
-    "repro.network",
-    "repro.obs",
-    "repro.perf",
-    "repro.power",
-    "repro.serve",
-    "repro.sim",
-    "repro.store",
-    "repro.validation",
-    "repro.workloads",
-    "repro.registry",
-    "repro.units",
-    "repro.cli",
+import repro
+
+#: Every module of the package, the top level included.
+PUBLIC_MODULES = ("repro",) + tuple(
+    sorted(info.name for info in pkgutil.walk_packages(repro.__path__, "repro."))
 )
 
 

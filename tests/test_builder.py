@@ -8,13 +8,15 @@ observes reads without changing the run.
 
 import dataclasses
 import inspect
+import json
 
 import pytest
 
 from repro.harness.builder import SimulationBuilder
-from repro.harness.experiment import ExperimentConfig
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.stats import LatencyTracker
 from repro.network.network import MemoryNetwork
+from repro.obs.metrics import EpochLinkMetrics
 
 FAST = dict(workload="mixB", topology="daisychain", scale="small",
             window_ns=20_000.0, epoch_ns=4_000.0)
@@ -81,3 +83,34 @@ def test_listener_attached_after_build_sees_every_read_and_changes_nothing(
     assert tracker.count == network.completed_reads
     assert tracker.max_ns == network.max_read_latency_ns
     assert _snapshot(tracked) == _snapshot(bare)
+
+
+def test_managed_policy_calls_each_epoch_observer_once_per_epoch(tmp_path):
+    config = ExperimentConfig(
+        **FAST, mechanism="VWL", policy="aware", collect_link_hours=True,
+        audit="strict", metrics_path=str(tmp_path / "m.json"),
+    )
+    simulation = SimulationBuilder(config).build()
+    collector, auditor, bridge = simulation.policy.epoch_observers
+    assert collector is simulation.collector
+    assert auditor is simulation.auditor
+    assert isinstance(bridge, EpochLinkMetrics)
+    assert bridge.registry is simulation.metrics
+
+    simulation.run()
+    epochs = simulation.policy.epochs_run
+    assert epochs > 0
+    assert collector.total_ns > 0
+    assert auditor.epoch == epochs
+    assert len(simulation.metrics.epochs) == epochs
+    assert simulation.metrics.counter("epochs").value == epochs
+
+
+@pytest.mark.parametrize("policy", ["static", "none"])
+def test_unmanaged_run_writes_metrics_without_epochs(tmp_path, policy):
+    path = tmp_path / "m.json"
+    config = ExperimentConfig(
+        **FAST, mechanism="VWL", policy=policy, metrics_path=str(path)
+    )
+    run_experiment(config)
+    assert json.loads(path.read_text())["epochs"] == []
