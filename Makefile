@@ -10,7 +10,7 @@ LINT_PATHS = src/repro/sim src/repro/network src/repro/perf
 # mypy-checked too.
 MYPY_PATHS = src/repro/sim src/repro/network src/repro/core src/repro/harness src/repro/perf
 
-.PHONY: test lint bench bench-quick bench-gate bench-check baseline serve-smoke selfheal-smoke store-migrate-smoke
+.PHONY: test lint bench bench-quick bench-gate bench-check baseline serve-smoke selfheal-smoke store-migrate-smoke import-profile
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -60,6 +60,11 @@ bench-check:
 	    | $(PYTHON) -c '$(BENCH_CORRECT)' \
 	    || { echo "bench-check: $$w did not read \"correct\": true" >&2; exit 1; }; \
 	done
+
+# Import cost of `import repro.cli` without a benchmark run: the module
+# count and the 20 costliest modules by cumulative time (-X importtime).
+import-profile:
+	$(PYTHON) scripts/import_profile.py
 
 # Refresh the committed CI baseline (run on an otherwise idle machine;
 # see docs/benchmarking.md for when this is legitimate).

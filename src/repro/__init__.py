@@ -34,44 +34,7 @@ Anything importable but not listed in docs/api.md's "Stable v1
 surface" section is internal and may change without notice.
 """
 
-import repro.analysis  # noqa: F401  (analytical models subpackage)
-from repro.core import (
-    LinkModeState,
-    MECHANISM_NAMES,
-    MechanismConfig,
-    NetworkAwarePolicy,
-    NetworkUnawarePolicy,
-    StaticBaselinePolicy,
-    make_mechanism,
-)
-from repro.harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    RunSettings,
-    SimulationBuilder,
-    SweepRunner,
-    run_experiment,
-)
-from repro.network import (
-    MemoryNetwork,
-    Radix,
-    TOPOLOGY_NAMES,
-    Topology,
-    build_topology,
-)
-from repro.power import DEFAULT_POWER_MODEL, HmcPowerModel, PowerBreakdown
-from repro.registry import Registry
-from repro.serve.client import ServeClient, ServeError
-from repro.sim import Simulator
-from repro.store import JsonDirStore, ResultStore, SqliteStore, make_store
-from repro.validation import (
-    AuditViolationError,
-    ValidationReport,
-    Violation,
-    run_suite,
-    validate_config,
-)
-from repro.workloads import WORKLOAD_NAMES, ClosedLoopWorkload, get_profile
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -115,3 +78,46 @@ __all__ = [
     "validate_config",
     "run_suite",
 ]
+
+#: Each public name's defining module, imported on first use.
+_EXPORTS = {
+    "Simulator": "repro.sim.engine",
+    "Topology": "repro.network.topology",
+    "TOPOLOGY_NAMES": "repro.network.topology",
+    "Radix": "repro.network.topology",
+    "build_topology": "repro.network.topology",
+    "MemoryNetwork": "repro.network.network",
+    "MechanismConfig": "repro.core.mechanisms",
+    "LinkModeState": "repro.core.mechanisms",
+    "make_mechanism": "repro.core.mechanisms",
+    "MECHANISM_NAMES": "repro.core.mechanisms",
+    "NetworkUnawarePolicy": "repro.core.unaware",
+    "NetworkAwarePolicy": "repro.core.aware",
+    "StaticBaselinePolicy": "repro.core.static_baseline",
+    "HmcPowerModel": "repro.power.hmc_power",
+    "DEFAULT_POWER_MODEL": "repro.power.hmc_power",
+    "PowerBreakdown": "repro.power.accounting",
+    "WORKLOAD_NAMES": "repro.workloads.profiles",
+    "get_profile": "repro.workloads.profiles",
+    "ClosedLoopWorkload": "repro.workloads.generator",
+    "ExperimentConfig": "repro.harness.experiment",
+    "ExperimentResult": "repro.harness.experiment",
+    "run_experiment": "repro.harness.experiment",
+    "RunSettings": "repro.harness.figures",
+    "SweepRunner": "repro.harness.sweep",
+    "SimulationBuilder": "repro.harness.builder",
+    "ResultStore": "repro.store.base",
+    "JsonDirStore": "repro.store.jsondir",
+    "SqliteStore": "repro.store.sqlite",
+    "make_store": "repro.store",
+    "ServeClient": "repro.serve.client",
+    "ServeError": "repro.serve.client",
+    "Registry": "repro.registry",
+    "Violation": "repro.validation.violations",
+    "ValidationReport": "repro.validation.violations",
+    "AuditViolationError": "repro.validation.audit",
+    "validate_config": "repro.validation.suite",
+    "run_suite": "repro.validation.suite",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

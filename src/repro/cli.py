@@ -52,15 +52,16 @@ from repro.core.mechanisms import MECHANISMS, MECHANISM_NAMES
 from repro.core.policy import POLICY_NAMES
 from repro.harness.executor import FailedResult, make_executor
 from repro.harness.experiment import AUDIT_MODES, ExperimentConfig
-from repro.harness import figures as F
+import repro.harness.figures as F
 from repro.harness.journal import SweepJournal
 from repro.harness.metrics import performance_degradation, power_reduction
 from repro.harness.report import format_table, render_run_summary
 from repro.harness.sweep import ExperimentFailedError, SweepRunner
-from repro.obs import ALL_CATEGORIES, TRACE_FORMATS
 from repro.network.topology import TOPOLOGY_BUILDERS, TOPOLOGY_NAMES
+from repro.obs.sinks import TRACE_FORMATS
+from repro.obs.trace import ALL_CATEGORIES
 from repro.store import STORE_BACKENDS, make_store
-from repro.workloads import WORKLOAD_NAMES, get_profile
+from repro.workloads.profiles import WORKLOAD_NAMES, get_profile
 from repro.workloads.mapping import MAPPINGS, MAPPING_NAMES
 
 __all__ = ["main"]
@@ -614,7 +615,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_trace_events(args) -> int:
     from repro.harness.experiment import run_experiment
-    from repro.obs import format_trace_summary, read_jsonl
+    from repro.obs.analysis import format_trace_summary, read_jsonl
 
     config = ExperimentConfig(
         workload=args.workload,
@@ -708,7 +709,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from repro.validation import CHECKS, METAMORPHIC_RELATIONS, SABOTAGES, run_suite
+    from repro.validation.checks import CHECKS
+    from repro.validation.metamorphic import METAMORPHIC_RELATIONS
+    from repro.validation.suite import SABOTAGES, run_suite
 
     if args.list_checks:
         rows = [
@@ -751,7 +754,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.serve import ExperimentService, ServiceSettings, run_server
+    from repro.serve.http import run_server
+    from repro.serve.service import ExperimentService, ServiceSettings
 
     executor = _make_executor_from_args(args)
     disk = _make_store_from_args(args)
@@ -787,12 +791,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    from repro.store import (
-        DEFAULT_SQLITE_FILENAME,
-        JsonDirStore,
-        SqliteStore,
-        migrate_json_to_sqlite,
-    )
+    from repro.store.jsondir import JsonDirStore
+    from repro.store.migrate import migrate_json_to_sqlite
+    from repro.store.sqlite import DEFAULT_SQLITE_FILENAME, SqliteStore
 
     if args.action == "migrate":
         try:

@@ -1,26 +1,6 @@
 """The paper's contribution: I/O power-control mechanisms and management."""
 
-from repro.core.aware import NetworkAwarePolicy
-from repro.core.hardware_cost import (
-    CounterBudget,
-    link_counter_bits,
-    module_counter_bits,
-    network_overhead,
-)
-from repro.core.mechanisms import (
-    LinkModeState,
-    MECHANISM_NAMES,
-    MechanismConfig,
-    make_mechanism,
-)
-from repro.core.overrides import (
-    LinkMechanism,
-    OverrideError,
-    resolve_link_mechanisms,
-)
-from repro.core.policy import ManagementPolicy
-from repro.core.static_baseline import StaticBaselinePolicy
-from repro.core.unaware import NetworkUnawarePolicy
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MechanismConfig",
@@ -39,3 +19,24 @@ __all__ = [
     "module_counter_bits",
     "network_overhead",
 ]
+
+#: Each public name's defining module, imported on first use.
+_EXPORTS = {
+    "MechanismConfig": "repro.core.mechanisms",
+    "LinkModeState": "repro.core.mechanisms",
+    "make_mechanism": "repro.core.mechanisms",
+    "MECHANISM_NAMES": "repro.core.mechanisms",
+    "OverrideError": "repro.core.overrides",
+    "LinkMechanism": "repro.core.overrides",
+    "resolve_link_mechanisms": "repro.core.overrides",
+    "ManagementPolicy": "repro.core.policy",
+    "NetworkUnawarePolicy": "repro.core.unaware",
+    "NetworkAwarePolicy": "repro.core.aware",
+    "StaticBaselinePolicy": "repro.core.static_baseline",
+    "CounterBudget": "repro.core.hardware_cost",
+    "link_counter_bits": "repro.core.hardware_cost",
+    "module_counter_bits": "repro.core.hardware_cost",
+    "network_overhead": "repro.core.hardware_cost",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

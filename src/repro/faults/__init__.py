@@ -11,16 +11,7 @@ Public surface:
   execution harness (crash / die / hang).
 """
 
-from repro.faults.inject import FaultInjector, VaultFaultTable
-from repro.faults.plan import (
-    FaultEvent,
-    FaultPlan,
-    FaultSpec,
-    FaultSpecError,
-    build_plan,
-    execute_sabotage,
-    parse_fault_spec,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FaultEvent",
@@ -33,3 +24,18 @@ __all__ = [
     "execute_sabotage",
     "parse_fault_spec",
 ]
+
+#: Each public name's defining module, imported on first use.
+_EXPORTS = {
+    "FaultEvent": "repro.faults.plan",
+    "FaultInjector": "repro.faults.inject",
+    "FaultPlan": "repro.faults.plan",
+    "FaultSpec": "repro.faults.plan",
+    "FaultSpecError": "repro.faults.plan",
+    "VaultFaultTable": "repro.faults.inject",
+    "build_plan": "repro.faults.plan",
+    "execute_sabotage": "repro.faults.plan",
+    "parse_fault_spec": "repro.faults.plan",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -98,7 +98,7 @@ class SimulationBuilder:
 
         fault_spec = None
         if config.fault_spec:
-            from repro.faults import execute_sabotage, parse_fault_spec
+            from repro.faults.plan import execute_sabotage, parse_fault_spec
 
             fault_spec = parse_fault_spec(config.fault_spec)
             # Chaos directives (crash/die/hang) fire before any build
@@ -143,7 +143,8 @@ class SimulationBuilder:
         )
 
         if fault_spec is not None:
-            from repro.faults import FaultInjector, build_plan
+            from repro.faults.inject import FaultInjector
+            from repro.faults.plan import build_plan
 
             fault_plan = build_plan(
                 fault_spec,
@@ -192,14 +193,9 @@ class SimulationBuilder:
             observers.append(simulation.auditor)
 
         if config.trace_path is not None or config.metrics_path is not None:
-            from repro.obs import (
-                EpochLinkMetrics,
-                MetricsRegistry,
-                Tracer,
-                install_tracer,
-                make_sink,
-                parse_categories,
-            )
+            from repro.obs.metrics import EpochLinkMetrics, MetricsRegistry
+            from repro.obs.sinks import make_sink
+            from repro.obs.trace import Tracer, install_tracer, parse_categories
 
             if config.trace_path is not None:
                 tracer = Tracer(

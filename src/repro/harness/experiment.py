@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.mechanisms import canonical_mechanism
 from repro.core.overrides import canonical_override_spec
-from repro.core.policy import EPOCH_NS, POLICIES, POLICY_NAMES
+from repro.core.policy import EPOCH_NS, POLICIES
 from repro.harness.builder import SimulationBuilder
 from repro.harness.metrics import (
     avg_link_utilization,
@@ -31,7 +31,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
-    "POLICY_NAMES",
     "OBSERVABILITY_FIELDS",
     "AUDIT_MODES",
 ]
@@ -125,16 +124,20 @@ class ExperimentConfig:
             raise ValueError(f"scale must be 'small' or 'big', got {self.scale!r}")
         if self.window_ns <= 0:
             raise ValueError("window must be positive")
-        from repro.obs import TRACE_FORMATS, parse_categories
+        if self.trace_format != "jsonl" or self.trace_categories:
+            # ``jsonl`` (the default) is always valid, so only other
+            # formats and category specs load the tracing modules.
+            from repro.obs.sinks import TRACE_FORMATS
+            from repro.obs.trace import parse_categories
 
-        if self.trace_format not in TRACE_FORMATS:
-            raise ValueError(
-                f"unknown trace format {self.trace_format!r}; "
-                f"expected one of {TRACE_FORMATS}"
-            )
-        if self.trace_categories:
-            # Fail fast on bad category specs even when tracing is off.
-            parse_categories(self.trace_categories)
+            if self.trace_format not in TRACE_FORMATS:
+                raise ValueError(
+                    f"unknown trace format {self.trace_format!r}; "
+                    f"expected one of {TRACE_FORMATS}"
+                )
+            if self.trace_categories:
+                # Fail fast on bad category specs even when tracing is off.
+                parse_categories(self.trace_categories)
         if self.audit and self.audit not in AUDIT_MODES:
             raise ValueError(
                 f"audit must be '', 'warn', or 'strict', got {self.audit!r}"
@@ -142,15 +145,15 @@ class ExperimentConfig:
         if self.fault_spec:
             # Fail fast on bad fault specs too (FaultSpecError is a
             # ValueError, matching the other validation failures here).
-            from repro.faults import parse_fault_spec
+            from repro.faults.plan import parse_fault_spec
 
             parse_fault_spec(self.fault_spec)
 
     def replace(self, **changes) -> "ExperimentConfig":
         """A copy of this config with the given fields replaced."""
-        from dataclasses import replace as _replace
-
-        return _replace(self, **changes)
+        fields = {name: getattr(self, name) for name in _FIELDS}
+        fields.update(changes)
+        return type(self)(**fields)
 
     def baseline(self) -> "ExperimentConfig":
         """The matching full-power run (same traffic, no management).
@@ -201,11 +204,11 @@ class ExperimentConfig:
         return key
 
 
+#: Every field of :class:`ExperimentConfig`, in declaration order.
+_FIELDS: Tuple[str, ...] = tuple(ExperimentConfig.__dataclass_fields__)
 #: The fields :meth:`ExperimentConfig.cache_key` hashes, sorted.
 _KEYED_FIELDS: Tuple[str, ...] = tuple(
-    name
-    for name in sorted(ExperimentConfig.__dataclass_fields__)
-    if name not in OBSERVABILITY_FIELDS
+    name for name in sorted(_FIELDS) if name not in OBSERVABILITY_FIELDS
 )
 #: The encoder ``cache_key`` has always used, built once.
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
 from typing import Dict, Iterable, List, Sequence
 
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
@@ -38,6 +37,11 @@ __all__ = [
     "load_batch",
     "RESULT_FIELDS",
 ]
+
+#: ExperimentConfig's fields in declaration order (``config_to_dict``'s
+#: key order), and the same names as a set for ``config_from_dict``.
+_CONFIG_FIELDS: Sequence[str] = tuple(ExperimentConfig.__dataclass_fields__)
+_CONFIG_FIELD_SET = frozenset(_CONFIG_FIELDS)
 
 #: Flat result columns, in CSV order.
 RESULT_FIELDS: Sequence[str] = (
@@ -65,7 +69,7 @@ def config_to_dict(config: ExperimentConfig) -> Dict:
     written before each field existed (pinned goldens, disk-cache
     payloads).
     """
-    out = asdict(config)
+    out = {name: getattr(config, name) for name in _CONFIG_FIELDS}
     if not out["mechanism_overrides"]:
         del out["mechanism_overrides"]
     if not out["audit"]:
@@ -75,8 +79,7 @@ def config_to_dict(config: ExperimentConfig) -> Dict:
 
 def config_from_dict(data: Dict) -> ExperimentConfig:
     """Plain dict -> ExperimentConfig (unknown keys rejected)."""
-    allowed = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - allowed
+    unknown = set(data) - _CONFIG_FIELD_SET
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(**data)

@@ -21,35 +21,7 @@ See ``docs/observability.md`` for the full event-schema reference and a
 worked example.
 """
 
-from repro.obs.analysis import (
-    event_counts,
-    format_trace_summary,
-    link_state_residency,
-    read_jsonl,
-)
-from repro.obs.metrics import (
-    Counter,
-    EpochLinkMetrics,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.sinks import (
-    ChromeTraceSink,
-    CsvTraceSink,
-    JsonlTraceSink,
-    ListSink,
-    TRACE_FORMATS,
-    TraceSink,
-    make_sink,
-)
-from repro.obs.trace import (
-    ALL_CATEGORIES,
-    DEFAULT_CATEGORIES,
-    Tracer,
-    install_tracer,
-    parse_categories,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ALL_CATEGORIES",
@@ -74,3 +46,30 @@ __all__ = [
     "link_state_residency",
     "format_trace_summary",
 ]
+
+#: Each public name's defining module, imported on first use.
+_EXPORTS = {
+    "ALL_CATEGORIES": "repro.obs.trace",
+    "DEFAULT_CATEGORIES": "repro.obs.trace",
+    "Tracer": "repro.obs.trace",
+    "install_tracer": "repro.obs.trace",
+    "parse_categories": "repro.obs.trace",
+    "TraceSink": "repro.obs.sinks",
+    "ListSink": "repro.obs.sinks",
+    "JsonlTraceSink": "repro.obs.sinks",
+    "CsvTraceSink": "repro.obs.sinks",
+    "ChromeTraceSink": "repro.obs.sinks",
+    "TRACE_FORMATS": "repro.obs.sinks",
+    "make_sink": "repro.obs.sinks",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "EpochLinkMetrics": "repro.obs.metrics",
+    "read_jsonl": "repro.obs.analysis",
+    "event_counts": "repro.obs.analysis",
+    "link_state_residency": "repro.obs.analysis",
+    "format_trace_summary": "repro.obs.analysis",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -463,7 +463,8 @@ def _store_bulk_lookup(quick: bool) -> Callable[[], Tuple[int, str]]:
 
     from repro.harness.experiment import ExperimentConfig, ExperimentResult
     from repro.power.accounting import PowerBreakdown
-    from repro.store import JsonDirStore, SqliteStore
+    from repro.store.jsondir import JsonDirStore
+    from repro.store.sqlite import SqliteStore
 
     n = 80 if quick else 200
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-store-")

@@ -70,7 +70,10 @@ class Registry(Generic[T]):
     canonicalize:
         Optional name normalizer applied to every registered and looked
         up name *before* alias resolution (e.g. ``str.upper`` for
-        mechanisms, so ``"fp"`` and ``"FP"`` are the same entry).
+        mechanisms, so ``"fp"`` and ``"FP"`` are the same entry).  It
+        must be idempotent: registered names are stored normalized, and
+        :meth:`canonical` returns one of them unchanged without
+        normalizing it again.
     """
 
     def __init__(
@@ -134,6 +137,10 @@ class Registry(Generic[T]):
         ``unknown <kind> <name>; choose from [...]`` message when the
         name is not registered.
         """
+        # An exact canonical name skips normalizing; anything that is
+        # not a plain str takes the path below and keeps its errors.
+        if type(name) is str and name in self._objects:
+            return name
         key = self._norm(name)
         if key in self._objects:
             return key

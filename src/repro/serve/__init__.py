@@ -38,40 +38,7 @@ See docs/serving.md for the API schema and worked examples, and
 docs/resilience.md for how failures are contained.
 """
 
-from repro.serve.client import (
-    ServeBadRequestError,
-    ServeClient,
-    ServeConnectionError,
-    ServeError,
-    ServeRejectedError,
-    ServeRunOutcome,
-    ServeSimulationError,
-    ServeTimeoutError,
-)
-from repro.serve.breaker import (
-    BreakerBoard,
-    BreakerDecision,
-    CircuitBreaker,
-    config_family,
-)
-from repro.serve.degrade import (
-    DegradedResult,
-    degraded_json,
-    degraded_payload,
-    make_degraded_result,
-)
-from repro.serve.http import ExperimentServer, run_server
-from repro.serve.lru import LruResultCache
-from repro.serve.service import (
-    AdmissionError,
-    BreakerOpenError,
-    DrainingError,
-    ExperimentService,
-    QueueFullError,
-    RequestTicket,
-    SERVICE_STATES,
-    ServiceSettings,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AdmissionError",
@@ -102,3 +69,36 @@ __all__ = [
     "make_degraded_result",
     "run_server",
 ]
+
+#: Each public name's defining module, imported on first use.
+_EXPORTS = {
+    "AdmissionError": "repro.serve.service",
+    "BreakerBoard": "repro.serve.breaker",
+    "BreakerDecision": "repro.serve.breaker",
+    "BreakerOpenError": "repro.serve.service",
+    "CircuitBreaker": "repro.serve.breaker",
+    "DegradedResult": "repro.serve.degrade",
+    "DrainingError": "repro.serve.service",
+    "ExperimentServer": "repro.serve.http",
+    "ExperimentService": "repro.serve.service",
+    "LruResultCache": "repro.serve.lru",
+    "QueueFullError": "repro.serve.service",
+    "RequestTicket": "repro.serve.service",
+    "SERVICE_STATES": "repro.serve.service",
+    "ServeBadRequestError": "repro.serve.client",
+    "ServeClient": "repro.serve.client",
+    "ServeConnectionError": "repro.serve.client",
+    "ServeError": "repro.serve.client",
+    "ServeRejectedError": "repro.serve.client",
+    "ServeRunOutcome": "repro.serve.client",
+    "ServeSimulationError": "repro.serve.client",
+    "ServeTimeoutError": "repro.serve.client",
+    "ServiceSettings": "repro.serve.service",
+    "config_family": "repro.serve.breaker",
+    "degraded_json": "repro.serve.degrade",
+    "degraded_payload": "repro.serve.degrade",
+    "make_degraded_result": "repro.serve.degrade",
+    "run_server": "repro.serve.http",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.harness.io import config_to_dict, result_from_cache_dict
-from repro.serve.http import API_PREFIX
+from repro.serve.protocol import API_PREFIX
 
 __all__ = [
     "ServeClient",

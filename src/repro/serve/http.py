@@ -54,15 +54,10 @@ from repro.harness.executor import FailedResult
 from repro.harness.io import config_from_dict, result_to_cache_dict
 from repro.harness.report import render_run_summary
 from repro.serve.degrade import degraded_payload
+from repro.serve.protocol import API_PREFIX, API_VERSION
 from repro.serve.service import AdmissionError, ExperimentService, RequestTicket
 
 __all__ = ["API_VERSION", "API_PREFIX", "ExperimentServer", "ServeHandler", "run_server"]
-
-#: Current (only) API version; the canonical path prefix is ``/v1``.
-API_VERSION = "v1"
-
-#: Path prefix every canonical endpoint lives under.
-API_PREFIX = f"/{API_VERSION}"
 
 
 def _split_version(path: str) -> Tuple[str, Optional[Dict]]:

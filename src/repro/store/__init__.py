@@ -20,17 +20,12 @@ and keep one hit/miss/write/quarantine counter contract.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.store.base import (
-    SCHEMA_VERSION,
-    ResultStore,
-    default_cache_dir,
-    store_schema_tag,
-)
-from repro.store.jsondir import JsonDirStore
-from repro.store.migrate import MigrationReport, migrate_json_to_sqlite
-from repro.store.sqlite import DEFAULT_SQLITE_FILENAME, SqliteStore
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.store.base import ResultStore
 
 __all__ = [
     "ResultStore",
@@ -44,6 +39,21 @@ __all__ = [
     "DEFAULT_SQLITE_FILENAME",
     "SCHEMA_VERSION",
 ]
+
+#: Each public name's defining module, imported on first use
+#: (``make_store`` and ``STORE_BACKENDS`` are defined below).
+_EXPORTS = {
+    "ResultStore": "repro.store.base",
+    "JsonDirStore": "repro.store.jsondir",
+    "SqliteStore": "repro.store.sqlite",
+    "MigrationReport": "repro.store.migrate",
+    "migrate_json_to_sqlite": "repro.store.migrate",
+    "store_schema_tag": "repro.store.base",
+    "DEFAULT_SQLITE_FILENAME": "repro.store.sqlite",
+    "SCHEMA_VERSION": "repro.store.base",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 #: Backend names accepted by ``make_store`` and the CLI ``--store`` flag.
 STORE_BACKENDS = ("json", "sqlite")
@@ -65,9 +75,17 @@ def make_store(
             f"unknown store backend {backend!r} "
             f"(expected one of {STORE_BACKENDS})"
         )
+    # Imported here, not through the lazy table: a module's own
+    # functions never reach its ``__getattr__``.  The SQLite backend
+    # (and ``sqlite3``) loads only when it is the one asked for.
     root_path: Optional[Path] = Path(root).expanduser() if root else None
     if backend == "json":
+        from repro.store.jsondir import JsonDirStore
+
         return JsonDirStore(root_path)
+    from repro.store.base import default_cache_dir
+    from repro.store.sqlite import DEFAULT_SQLITE_FILENAME, SqliteStore
+
     base = root_path if root_path is not None else default_cache_dir()
     if base.suffix == ".sqlite":
         return SqliteStore(base)

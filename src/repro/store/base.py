@@ -28,6 +28,7 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
 
+import repro
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.harness.io import result_to_cache_dict
 
@@ -60,8 +61,6 @@ def store_schema_tag() -> str:
     Shared by every backend so a schema or package-version bump
     invalidates all stale entries at once.
     """
-    import repro  # deferred: repro.__init__ imports the store facade
-
     return f"v{SCHEMA_VERSION}-{repro.__version__}"
 
 

@@ -155,7 +155,9 @@ class JsonDirStore:
         )
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
+                # One ``dumps`` call runs the C encoder; ``json.dump``
+                # streams through the pure-Python one (same bytes).
+                fh.write(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             try:

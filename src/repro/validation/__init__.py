@@ -22,11 +22,7 @@ See docs/validation.md for every invariant's physical meaning and
 tolerance.
 """
 
-from repro.validation.audit import AuditViolationError
-from repro.validation.checks import CHECKS
-from repro.validation.metamorphic import METAMORPHIC_RELATIONS
-from repro.validation.suite import SABOTAGES, run_suite, validate_config
-from repro.validation.violations import ValidationReport, Violation
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CHECKS",
@@ -38,3 +34,17 @@ __all__ = [
     "validate_config",
     "run_suite",
 ]
+
+#: Each public name's defining module, imported on first use.
+_EXPORTS = {
+    "CHECKS": "repro.validation.checks",
+    "Violation": "repro.validation.violations",
+    "ValidationReport": "repro.validation.violations",
+    "AuditViolationError": "repro.validation.audit",
+    "METAMORPHIC_RELATIONS": "repro.validation.metamorphic",
+    "SABOTAGES": "repro.validation.suite",
+    "validate_config": "repro.validation.suite",
+    "run_suite": "repro.validation.suite",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,27 +1,6 @@
 """Workload substrate: profiles, address mapping, closed-loop traffic."""
 
-from repro.workloads.generator import ClosedLoopWorkload
-from repro.workloads.mapping import (
-    AddressMapping,
-    contiguous_mapping,
-    modules_for_footprint,
-    page_interleaved_mapping,
-)
-from repro.workloads.profiles import (
-    MIX_COMPOSITION,
-    WORKLOAD_NAMES,
-    WORKLOADS,
-    WorkloadProfile,
-    get_profile,
-)
-from repro.workloads.traces import (
-    TraceError,
-    TraceRecord,
-    TraceRecorder,
-    TraceReplayWorkload,
-    load_trace,
-    save_trace,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClosedLoopWorkload",
@@ -41,3 +20,25 @@ __all__ = [
     "save_trace",
     "load_trace",
 ]
+
+#: Each public name's defining module, imported on first use.
+_EXPORTS = {
+    "ClosedLoopWorkload": "repro.workloads.generator",
+    "AddressMapping": "repro.workloads.mapping",
+    "contiguous_mapping": "repro.workloads.mapping",
+    "page_interleaved_mapping": "repro.workloads.mapping",
+    "modules_for_footprint": "repro.workloads.mapping",
+    "WorkloadProfile": "repro.workloads.profiles",
+    "WORKLOADS": "repro.workloads.profiles",
+    "WORKLOAD_NAMES": "repro.workloads.profiles",
+    "MIX_COMPOSITION": "repro.workloads.profiles",
+    "get_profile": "repro.workloads.profiles",
+    "TraceRecord": "repro.workloads.traces",
+    "TraceError": "repro.workloads.traces",
+    "TraceRecorder": "repro.workloads.traces",
+    "TraceReplayWorkload": "repro.workloads.traces",
+    "save_trace": "repro.workloads.traces",
+    "load_trace": "repro.workloads.traces",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

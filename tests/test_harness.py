@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.harness.experiment import (
-    ExperimentConfig,
-    POLICY_NAMES,
-    run_experiment,
-)
+from repro.core.policy import POLICY_NAMES
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.report import format_percent, format_table, format_watts
 from repro.harness.sweep import SweepRunner, grid_configs
 
@@ -39,10 +36,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(workload="lu.D", window_ns=0)
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("mechanism", None, AttributeError),
+            ("mechanism", ["FP"], AttributeError),
+            ("policy", None, ValueError),
+            ("policy", ["aware"], TypeError),
+            ("mapping", {"a": 1}, TypeError),
+            ("trace_format", None, ValueError),
+            ("trace_categories", "bogus", ValueError),
+        ],
+    )
+    def test_malformed_names_keep_their_errors(self, field, value, error):
+        """Non-string or unknown names fail as the registries always did."""
+        with pytest.raises(error):
+            ExperimentConfig(workload="lu.D", **{field: value})
+
     def test_replace(self):
         cfg = ExperimentConfig(workload="lu.D")
         other = cfg.replace(alpha=0.1)
         assert other.alpha == 0.1 and cfg.alpha == 0.05
+
+    def test_replace_round_trips_and_rejects_unknown_fields(self):
+        cfg = ExperimentConfig(workload="lu.D", mechanism="VWL", policy="aware")
+        assert cfg.replace(alpha=0.1).replace(alpha=0.05) == cfg
+        assert cfg.replace().cache_key() == cfg.cache_key()
+        with pytest.raises(TypeError, match="frobnicate"):
+            cfg.replace(frobnicate=1)
 
     def test_baseline_strips_management(self):
         cfg = ExperimentConfig(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -44,6 +45,25 @@ class TestConfigRoundtrip:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict({"workload": "lu.D", "frobnicate": 1})
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {},
+            dict(mechanism="VWL+ROO", policy="aware", mechanism_overrides="depth>=2:FP"),
+            dict(audit="warn", trace_path="t.jsonl", trace_format="csv"),
+            dict(fault_spec="crc=0.01", collect_link_hours=True, metrics_path="m.json"),
+        ],
+    )
+    def test_to_dict_matches_asdict_reference(self, extra):
+        """Same keys, values and key order as ``dataclasses.asdict`` with
+        the two omission rules applied."""
+        cfg = ExperimentConfig(workload="lu.D", **extra)
+        reference = asdict(cfg)
+        for name in ("mechanism_overrides", "audit"):
+            if not reference[name]:
+                del reference[name]
+        assert list(config_to_dict(cfg).items()) == list(reference.items())
 
 
 class TestResultFlattening:

@@ -11,6 +11,7 @@ speedup) follow in their own classes.
 
 from __future__ import annotations
 
+import io
 import json
 import sqlite3
 import threading
@@ -34,6 +35,7 @@ from repro.store import (
     migrate_json_to_sqlite,
     store_schema_tag,
 )
+from repro.store.base import store_entry
 
 FAST = dict(window_ns=30_000.0, epoch_ns=10_000.0)
 
@@ -242,6 +244,30 @@ class TestJsonDirStore:
         )
         legacy.put(config.replace(seed=2), replace(result, completed_reads=7))
         assert len(JsonDirStore(tmp_path)) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            dict(mechanism="FP"),
+            dict(mechanism="VWL", policy="aware", collect_link_hours=True),
+            dict(fault_spec="seed=3,crc=0.6,crc_bursts=4,burst_ns=5000"),
+            dict(mechanism="VWL", mechanism_overrides="depth>=2:VWL+ROO"),
+        ],
+        ids=["fp", "managed-link-hours", "faulted", "overridden"],
+    )
+    def test_entry_file_is_json_dump_bytes(self, tmp_path, extra):
+        """An entry file holds exactly what ``json.dumps`` and
+        ``json.dump`` produce for the same entry."""
+        config = ExperimentConfig(workload="sp.D", **FAST, **extra)
+        result = run_experiment(config)
+        store = JsonDirStore(tmp_path)
+        path = store.put(config, result)
+        entry = store_entry(store.schema_tag, config.cache_key(), result)
+        streamed = io.StringIO()
+        json.dump(entry, streamed)
+        written = path.read_bytes()
+        assert written == json.dumps(entry).encode()
+        assert written == streamed.getvalue().encode()
 
     def test_compact_prunes_stale_schema_dirs(self, tmp_path, seed_run):
         store = JsonDirStore(tmp_path)
